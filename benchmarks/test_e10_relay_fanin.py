@@ -191,7 +191,7 @@ def run_socket_relayed() -> tuple[float, RelayServer, int]:
         relay_thread.join(timeout=10)
         server.stop()
         server_thread.join(timeout=10)
-    upstream_conns = len(server._conn_sources)
+    upstream_conns = len(server.plane._conn_sources)
     # Exactly-once through the extra hop is host-independent.
     assert delivered[0] == total, f"{delivered[0]} != {total} via relay"
     assert manager.stats.duplicate_batches == 0

@@ -88,14 +88,25 @@ def test_bulk_drain_not_slower_than_per_record_pop():
         pop_payloads.append(payload)
     assert bulk_payloads == pop_payloads  # identical bytes, or no deal
 
-    bulk = _best(lambda: _filled_ring(n).drain_bytes())
+    # Time the drain alone: filling the ring is nine tenths of a
+    # fill+drain pass, and since the ring header became a cast view a
+    # per-record pop's three header accesses cost too little for the
+    # difference to show through that.
+    def best_drain(drain) -> float:
+        best = float("inf")
+        for _ in range(_REPEATS):
+            ring = _filled_ring(n)
+            t0 = time.perf_counter()
+            drain(ring)
+            best = min(best, time.perf_counter() - t0)
+        return best
 
-    def per_record():
-        ring = _filled_ring(n)
+    def per_record(ring):
         while ring.pop_bytes() is not None:
             pass
 
-    assert bulk <= _best(per_record), "bulk drain lost to per-record pops"
+    bulk = best_drain(lambda ring: ring.drain_bytes())
+    assert bulk <= best_drain(per_record), "bulk drain lost to per-record pops"
 
 
 def test_specialized_native_decode_not_slower_than_dynamic():

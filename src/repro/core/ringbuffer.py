@@ -101,8 +101,21 @@ class RingBuffer:
                 f"buffer too small: need > {HEADER_SIZE + 64} bytes"
             )
         self.policy = policy
+        # The four header words as one u64 view.  An item load/store is a
+        # single aligned 8-byte access, so a peer *process* never sees a
+        # half-written counter; ``struct.pack_into`` zero-fills and then
+        # writes byte by byte, and a reader catching the zero drained
+        # unwritten memory.  Native order is the documented little-endian
+        # layout on every supported host (``_HEADER`` still names it).
+        self._hdr = self._view[:HEADER_SIZE].cast("Q")
         if not attach:
             _HEADER.pack_into(self._view, 0, 0, 0, 0, 0)
+
+    def release(self) -> None:
+        """Drop the buffer exports (a shared-memory segment cannot be
+        closed while they exist); the ring is unusable afterwards."""
+        self._hdr.release()
+        self._view.release()
 
     # ------------------------------------------------------------------
     # header accessors (each field has a single writer)
@@ -110,34 +123,34 @@ class RingBuffer:
     @property
     def head(self) -> int:
         """Total bytes ever written (producer-owned)."""
-        return struct.unpack_from("<Q", self._view, 0)[0]
+        return self._hdr[0]
 
     def _set_head(self, value: int) -> None:
-        struct.pack_into("<Q", self._view, 0, value)
+        self._hdr[0] = value
 
     @property
     def tail(self) -> int:
         """Total bytes ever consumed (consumer-owned)."""
-        return struct.unpack_from("<Q", self._view, 8)[0]
+        return self._hdr[1]
 
     def _set_tail(self, value: int) -> None:
-        struct.pack_into("<Q", self._view, 8, value)
+        self._hdr[1] = value
 
     @property
     def dropped(self) -> int:
         """Records rejected because the ring was full (``DROP_NEW``)."""
-        return struct.unpack_from("<Q", self._view, 16)[0]
+        return self._hdr[2]
 
     def _set_dropped(self, value: int) -> None:
-        struct.pack_into("<Q", self._view, 16, value)
+        self._hdr[2] = value
 
     @property
     def overwritten(self) -> int:
         """Records discarded by ``OVERWRITE_OLD`` to make room."""
-        return struct.unpack_from("<Q", self._view, 24)[0]
+        return self._hdr[3]
 
     def _set_overwritten(self, value: int) -> None:
-        struct.pack_into("<Q", self._view, 24, value)
+        self._hdr[3] = value
 
     # ------------------------------------------------------------------
     # occupancy

@@ -47,6 +47,7 @@ ZONE_PREFIXES = (
 #: exclusively through the sanctioned ``repro.util.timebase`` interface,
 #: and this checker keeps a raw ``time.*``/entropy read from creeping in.
 ZONE_FILES = (
+    "src/repro/runtime/plane.py",
     "src/repro/runtime/relay_proc.py",
 )
 #: Zone files exempted wholesale, with the reason on record here.

@@ -8,10 +8,14 @@ every refactor since PR 8 has had to re-derive it by hand; this family
 checks it from the source.
 
 Scope: functions in the server-tier modules (``runtime/ism_proc.py``,
-``runtime/shard.py``, ``runtime/relay_proc.py``) that reference
-``durable_sink`` — the durable path by definition (the shard workers,
-which stage acks into the dispatcher-committed redo ring instead, are
-deliberately out of scope: their ordering is the commit protocol's job).
+``runtime/plane.py``, ``runtime/shard.py``, ``runtime/relay_proc.py``)
+that reference ``durable_sink`` — the durable path by definition (the
+shard workers, which stage acks into the dispatcher-committed redo ring
+instead, are deliberately out of scope: their ordering is the commit
+protocol's job).  The ack *frames* are built in the connection plane;
+a server's ``self.plane.flush_acks()`` is an ack-named helper that
+transitively releases, so the call site on the durable path is what the
+rule sees.
 
 * **BRK701** — an ack-release call site not preceded (in statement
   order) by a call carrying ``FSYNCS``.  Release sites are: ack-frame
@@ -59,6 +63,7 @@ __all__ = ["DurabilityChecker"]
 #: Files whose functions are under durability ordering.
 SCOPE_SUFFIXES = (
     "src/repro/runtime/ism_proc.py",
+    "src/repro/runtime/plane.py",
     "src/repro/runtime/shard.py",
     "src/repro/runtime/relay_proc.py",
 )

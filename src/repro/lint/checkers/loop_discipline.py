@@ -33,6 +33,7 @@ __all__ = ["LoopDisciplineChecker"]
 SCOPE_SUFFIXES = (
     "src/repro/runtime/exs_proc.py",
     "src/repro/runtime/ism_proc.py",
+    "src/repro/runtime/plane.py",
     "src/repro/runtime/relay_proc.py",
     "src/repro/runtime/shard.py",
     "src/repro/wire/tcp.py",

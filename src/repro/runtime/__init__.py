@@ -10,8 +10,10 @@ This subpackage provides the same deployment on one or more real hosts:
   paper;
 * :mod:`repro.runtime.exs_proc` — the external-sensor process loop
   (drain/batch/ship plus the clock-sync slave endpoint);
-* :mod:`repro.runtime.ism_proc` — the ISM server: accepts EXS connections,
-  multiplexes batches into the manager, runs the clock-sync master.
+* :mod:`repro.runtime.plane` — the connection handling every server
+  tier shares (accept, select, Hello, acks, steering, sweep, drop);
+* :mod:`repro.runtime.ism_proc` — the ISM server: multiplexes batches
+  into the manager, runs the clock-sync master.
 
 The simulation substrate (:mod:`repro.sim`) exists because clock-sync and
 scaling experiments need controlled clocks and links; this runtime exists
@@ -28,7 +30,6 @@ from repro.runtime.exs_proc import (
     resilient_exs_main,
 )
 from repro.runtime.ism_proc import IsmServer, TcpSyncSlave
-from repro.runtime.throttle import AutoThrottle, ThrottleConfig
 from repro.runtime.shm_consumer import SharedMemoryConsumer, SharedMemoryReader
 
 __all__ = [
@@ -44,6 +45,4 @@ __all__ = [
     "resilient_exs_main",
     "IsmServer",
     "TcpSyncSlave",
-    "AutoThrottle",
-    "ThrottleConfig",
 ]

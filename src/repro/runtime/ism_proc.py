@@ -1,22 +1,22 @@
 """The ISM server process.
 
 A ``select`` loop — the paper's ISM is likewise one process whose CPU
-demand is the scalability bottleneck (E5).  Receive is staged per cycle:
+demand is the scalability bottleneck (E5).  What is done to a
+*connection* lives in :class:`~repro.runtime.plane.ConnectionPlane`; this
+module is what the two ISM flavors do with a drained payload list.  For
+:class:`IsmServer`, per cycle:
 
-1. **framing** — one ``select`` over the listener and every connection;
-   each readable socket is drained through its reusable ``recv_into``
-   buffer and every complete frame payload sliced out
-   (:meth:`~repro.wire.tcp.MessageConnection.recv_frames`);
-2. **decode** — each connection's payload list is batch-decoded, inline
-   by default, or on a small thread pool when ``decode_workers`` is set
-   and several connections have data in the same cycle (decode is pure
-   CPU over private buffers, so it parallelizes without locks);
+1. **framing** — the plane's one ``select``; each readable socket is
+   drained through its reusable ``recv_into`` buffer and every complete
+   frame payload sliced out;
+2. **decode** — each connection's payload list is batch-decoded inline
+   on the pump thread;
 3. **route** — decoded messages enter the
    :class:`~repro.core.ism.InstrumentationManager` in arrival order, per
    connection; then the manager ticks so sorted records flow to consumers.
 
-The single-threaded default (``decode_workers=0``) is byte- and
-order-identical to the per-message receive loop it replaced.
+This is byte- and order-identical to the per-message receive loop it
+replaced.
 
 The loop also periodically runs the BRISK clock-synchronization round over
 the same connections (:class:`TcpSyncSlave` adapts a connection to the
@@ -31,16 +31,15 @@ from __future__ import annotations
 import multiprocessing as mp
 import select
 import struct
-import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.clocksync.brisk_sync import BriskSyncConfig, BriskSyncMaster
 from repro.clocksync.probes import ProbeSample
 from repro.core import native
 from repro.core.ackgate import AckGate
 from repro.core.consumers import Consumer
+from repro.core.filtering import FilterSpec
 from repro.core.ism import InstrumentationManager, IsmConfig
 from repro.core.merge import OrderedMerger
 from repro.core.records import EventRecord
@@ -49,6 +48,7 @@ from repro.monitor.spec import MonitorSpec
 from repro.obs import collect
 from repro.obs.metrics import Counter, MetricsRegistry, MetricsSnapshot
 from repro.obs.render import render_shard_breakdown, render_snapshot
+from repro.runtime.plane import ConnectionPlane
 from repro.runtime.shard import (
     CTRL_ACK,
     CTRL_COMMIT,
@@ -63,16 +63,6 @@ from repro.util.timebase import now_micros
 from repro.wire import protocol
 from repro.wire.tcp import ConnectionClosed, MessageConnection, MessageListener
 from repro.xdr import XdrDecodeError
-
-#: Capability bits either server flavor honors on its receive side,
-#: advertised in ``HelloReply`` — but only toward peers whose own Hello
-#: carried capability bits (legacy peers keep byte-identical replies).
-SERVER_CAPS = (
-    protocol.CAP_COMPRESS
-    | protocol.CAP_ACK_BUNDLE
-    | protocol.CAP_SEQ_RANGE
-    | protocol.CAP_STEERING
-)
 
 
 class TcpSyncSlave:
@@ -114,107 +104,34 @@ class TcpSyncSlave:
         self.conn.send(protocol.Adjust(correction=correction_us))
 
 
-class IsmServer:
-    """Accept EXS connections and pump them into the manager."""
+class _IsmFront:
+    """What both ISM flavors expose of their connection plane — the
+    binding table, stop, steering, the monitor attachment (the server is
+    the engine's actuator) — plus the lazily wired metrics registry and
+    the stats-table timer."""
+
+    consumers: list  # what an attached monitor engine joins
 
     def __init__(
         self,
-        manager: InstrumentationManager,
         listener: MessageListener,
-        sync_config: BriskSyncConfig | None = None,
-        sync_period_s: float = 5.0,
-        throttle=None,
-        throttle_period_s: float = 1.0,
-        decode_workers: int = 0,
-        ack_batches: bool = True,
-        idle_deadline_s: float | None = None,
-        metrics: MetricsRegistry | None = None,
-        stats_interval_s: float | None = None,
-        stats_sink=None,
-        durable_sink=None,
+        ack_batches: bool,
+        idle_deadline_s: float | None,
+        stats_interval_s: float | None,
+        stats_sink,
     ) -> None:
-        if decode_workers < 0:
-            raise ValueError("decode_workers must be >= 0")
-        if idle_deadline_s is not None and idle_deadline_s <= 0:
-            raise ValueError("idle_deadline_s must be positive or None")
         if stats_interval_s is not None and stats_interval_s <= 0:
             raise ValueError("stats_interval_s must be positive or None")
-        self.manager = manager
         self.listener = listener
-        self.sync_config = sync_config
-        self.sync_period_s = sync_period_s
-        #: Decode-stage thread pool size; 0 decodes inline on the pump
-        #: thread (the default — byte/order-identical to the seed loop).
-        self.decode_workers = decode_workers
-        self._executor: ThreadPoolExecutor | None = None
-        #: Optional :class:`repro.runtime.throttle.AutoThrottle`.  When
-        #: set, the server feeds it per-source receive counts every
-        #: ``throttle_period_s`` and it steers the sources via
-        #: :meth:`set_filter`.
-        self.throttle = throttle
-        self.throttle_period_s = throttle_period_s
-        #: Acknowledge admitted batches back to each EXS (cumulative
-        #: :class:`~repro.wire.protocol.Ack`, one per source per pump
-        #: cycle).  Off reproduces the seed's fire-and-forget transport.
-        self.ack_batches = ack_batches
-        #: Drop a connection whose peer has been silent this long
-        #: (heartbeats count as activity).  None disables the sweep.
-        self.idle_deadline_s = idle_deadline_s
-        #: Sources with new admissions this cycle, awaiting an Ack.
-        self._ack_pending: set[int] = set()
-        #: Sources whose Hello advertised ``wants_ack`` — the only peers
-        #: ever written to outside the clock-sync path.  A fire-and-forget
-        #: sender that never reads must never be written to: once it
-        #: closes, our write draws an RST that can discard its
-        #: still-buffered batches in our own receive queue.
-        self._ack_enabled: set[int] = set()
-        #: monotonic() of each connection's last inbound traffic.
-        self._last_activity: dict[MessageConnection, float] = {}
-        #: Connections dropped by the idle-deadline sweep (int-like
-        #: :class:`~repro.obs.metrics.Counter`, registered when metrics
-        #: are on).
-        self.idle_drops = Counter("ism.idle_drops")
-        self._next_throttle = time.monotonic() + throttle_period_s
-        self._per_source_counts: dict[int, int] = {}
-        #: Steering state of record: the last :class:`SetFilter` pushed
-        #: per EXS id, re-applied whenever that source (re)connects — a
-        #: spec set while a source is down or mid-reconnect is never
-        #: lost, and the epoch makes the re-apply idempotent at the EXS.
-        self._desired_filters: dict[int, protocol.SetFilter] = {}
-        self._filter_epoch = 0
-        #: Attached :class:`~repro.monitor.engine.MonitorEngine`; ticked
-        #: once per pump cycle (see :meth:`attach_monitor`).
-        self.monitor: MonitorEngine | None = None
-        self.connections: dict[int, MessageConnection] = {}
-        self.sync_master: BriskSyncMaster | None = None
-        #: Sources that spoke a Hello on each connection.  Usually one,
-        #: but a relay multiplexes every downstream sensor it fronts over
-        #: a single upstream socket.
-        self._conn_sources: dict[MessageConnection, set[int]] = {}
-        #: Capability bits each source's Hello advertised.
-        self._peer_caps: dict[int, int] = {}
-        #: Node each connection's Hello advertised — handed to the decode
-        #: stage so batch records come out pre-stamped with their node
-        #: (the manager's stamping pass then finds nothing to rebuild).
-        #: Multi-node relay connections reset the hint to 0.
-        self._conn_node: dict[MessageConnection, int] = {}
-        self._pending: list[MessageConnection] = []
-        self._stop = threading.Event()
-        # First round runs as soon as a slave connects (warmup), then on
-        # the configured period.
-        self._next_sync = time.monotonic()
-        #: Connections that closed (normally or not) since start.
-        self.closed_connections = Counter("wire.closed_connections")
-        #: Sync rounds completed across all master rebuilds.
-        self.sync_rounds_completed = Counter("sync.rounds_completed")
-        #: Wire traffic of connections already closed (live connections
-        #: are summed at snapshot time; these keep the totals monotonic).
-        self._closed_bytes = 0
-        self._closed_frames = 0
+        self.plane = ConnectionPlane(
+            listener, ack_batches=ack_batches, idle_deadline_s=idle_deadline_s
+        )
+        self.idle_drops = self.plane.idle_drops
+        self.closed_connections = self.plane.closed_connections
         #: Self-observability registry; None until enabled.  Pass one in,
         #: set ``stats_interval_s`` (a registry is then created), or call
-        #: :meth:`metrics_snapshot` — the programmatic stats endpoint —
-        #: which wires one lazily.
+        #: ``metrics_snapshot()`` — the programmatic stats endpoint —
+        #: which wires one lazily (see :meth:`_registry`).
         self.metrics: MetricsRegistry | None = None
         self.stats_interval_s = stats_interval_s
         #: Where the periodic stats table goes (callable taking one
@@ -225,6 +142,81 @@ class IsmServer:
             if stats_interval_s is None
             else time.monotonic() + stats_interval_s
         )
+
+    @property
+    def connections(self) -> dict[int, MessageConnection]:
+        """Source id → live connection (the plane's binding table)."""
+        return self.plane.connections
+
+    def stop(self) -> None:
+        """Ask the serve loop to flush and exit."""
+        self.plane.stop()
+
+    def set_filter(self, exs_id: int, spec: FilterSpec) -> bool:
+        """Push a source-side filter spec to one EXS (False = deferred
+        until the source's next Hello, never dropped)."""
+        return self.plane.set_filter(exs_id, spec)
+
+    #: Actuator hook (:class:`repro.monitor.engine.Actuator`): same path
+    #: as user steering.
+    push_filter = set_filter
+
+    def attach_monitor(self, spec: MonitorSpec) -> MonitorEngine:
+        """Attach a monitor engine evaluating *spec* over the delivered
+        stream, actuating through this server's control channel."""
+        return self.plane.attach_monitor(spec, self, self.consumers)
+
+    def _registry(self) -> MetricsRegistry:
+        """The metrics registry, wired on first use so any running server
+        can be inspected without prior setup."""
+        if self.metrics is None:
+            self._enable_metrics(MetricsRegistry())
+        return self.metrics
+
+    def _maybe_stats(self) -> None:
+        if self._next_stats is None or time.monotonic() < self._next_stats:
+            return
+        self._next_stats = time.monotonic() + self.stats_interval_s
+        self.stats_sink(self._stats_table())
+
+
+class IsmServer(_IsmFront):
+    """Accept EXS connections and pump them into the manager."""
+
+    def __init__(
+        self,
+        manager: InstrumentationManager,
+        listener: MessageListener,
+        sync_config: BriskSyncConfig | None = None,
+        sync_period_s: float = 5.0,
+        ack_batches: bool = True,
+        idle_deadline_s: float | None = None,
+        metrics: MetricsRegistry | None = None,
+        stats_interval_s: float | None = None,
+        stats_sink=None,
+        durable_sink=None,
+    ) -> None:
+        super().__init__(
+            listener, ack_batches, idle_deadline_s, stats_interval_s, stats_sink
+        )
+        self.manager = manager
+        self.consumers = manager.consumers
+        self.sync_config = sync_config
+        self.sync_period_s = sync_period_s
+        self.sync_master: BriskSyncMaster | None = None
+        #: The bindings the sync master's slaves were built from.
+        self._sync_members: dict[int, MessageConnection] = {}
+        #: Node each connection's Hello advertised — handed to the decode
+        #: stage so batch records come out pre-stamped with their node
+        #: (the manager's stamping pass then finds nothing to rebuild).
+        #: Multi-node relay connections reset the hint to 0.  Kept in
+        #: the plane's per-connection slot, so it goes with the connection.
+        self._conn_node: dict[MessageConnection, int] = self.plane.conn_data
+        # First round runs as soon as a slave connects (warmup), then on
+        # the configured period.
+        self._next_sync = time.monotonic()
+        #: Sync rounds completed across all master rebuilds.
+        self.sync_rounds_completed = Counter("sync.rounds_completed")
         self._pump_hist = None
         #: Durable mode (PR 8): when set — a commit-log sink exposing
         #: ``sync(sources)`` and ``source_watermarks()``, in practice a
@@ -252,31 +244,11 @@ class IsmServer:
     # ------------------------------------------------------------------
     def _enable_metrics(self, registry: MetricsRegistry) -> None:
         self.metrics = registry
-        registry.adopt_counter(self.idle_drops)
-        registry.adopt_counter(self.closed_connections)
         registry.adopt_counter(self.sync_rounds_completed)
         registry.adopt_counter(self.durable_sync_errors)
         if self.manager.metrics is not registry:
             collect.wire_manager(registry, self.manager)
-        registry.gauge_fn("wire.connections", lambda: len(self.connections))
-        registry.gauge_fn(
-            "wire.pending_connections", lambda: len(self._pending)
-        )
-        registry.gauge_fn(
-            "wire.bytes_received",
-            lambda: self._closed_bytes
-            + sum(
-                c.bytes_received for c in dict.fromkeys(self.connections.values())
-            ),
-        )
-        registry.gauge_fn(
-            "wire.frames_received",
-            lambda: self._closed_frames
-            + sum(
-                c.frames_received
-                for c in dict.fromkeys(self.connections.values())
-            ),
-        )
+        self.plane.wire_metrics(registry)
         #: Pump cycle duration includes the (bounded) select wait, so it
         #: is a latency metric, not a busy-time metric — intrusion
         #: accounting uses the manager's per-stage timers instead.
@@ -285,26 +257,16 @@ class IsmServer:
     def metrics_snapshot(self) -> MetricsSnapshot:
         """The ISM stats endpoint: a merged snapshot of everything the
         server can see — manager counters, sorter/CRE depth, consumer
-        queues, wire traffic.  Wires a registry lazily on first call, so
-        any running server can be inspected without prior setup."""
-        if self.metrics is None:
-            self._enable_metrics(MetricsRegistry())
-        return self.metrics.snapshot()
+        queues, wire traffic."""
+        return self._registry().snapshot()
 
-    def _maybe_stats(self) -> None:
-        if self._next_stats is None or time.monotonic() < self._next_stats:
-            return
-        self._next_stats = time.monotonic() + self.stats_interval_s
-        self.stats_sink(
+    def _stats_table(self) -> str:
+        return (
             "-- brisk-ism stats " + "-" * 24 + "\n"
             + render_snapshot(self.metrics_snapshot())
         )
 
     # ------------------------------------------------------------------
-    def stop(self) -> None:
-        """Ask the serve loop to flush and exit."""
-        self._stop.set()
-
     def dispatch(self, msg: protocol.Message, now: int | None = None) -> None:
         """Feed one decoded message into the manager (clock-sync replies
         are consumed inside probes and never reach here).
@@ -316,13 +278,7 @@ class IsmServer:
             return  # stale probe reply; drop
         if isinstance(msg, protocol.Heartbeat):
             return  # liveness only; activity was noted at the socket
-        if isinstance(msg, protocol.Hello):
-            self.manager.register_source(msg.exs_id, msg.node_id)
-            return
         if isinstance(msg, protocol.Batch):
-            self._per_source_counts[msg.exs_id] = (
-                self._per_source_counts.get(msg.exs_id, 0) + len(msg.records)
-            )
             if self._ack_gate is not None:
                 # Durable mode: acks go through the gate, not the
                 # admission watermark.  The duplicate check must read the
@@ -333,18 +289,21 @@ class IsmServer:
                 if duplicate:
                     # Re-ack the current watermark so a resumed EXS
                     # retransmitting acked batches converges.
-                    if msg.exs_id in self._ack_enabled:
+                    if self.plane.acks_enabled(msg.exs_id):
                         self._ack_gate.mark_dirty(msg.exs_id)
                 else:
                     self._ack_gate.on_admitted(
                         msg.exs_id, msg.seq, len(msg.records)
                     )
                 return
-            if self.ack_batches and msg.exs_id in self._ack_enabled:
-                # Queue the ack *before* admission so a retransmit of an
-                # already-admitted batch still re-sends the (evidently
-                # lost) ack that would release it from the EXS outbox.
-                self._ack_pending.add(msg.exs_id)
+            self.manager.on_message(msg, now_micros() if now is None else now)
+            # Stage the ack whether or not the batch was new: a retransmit
+            # of an already-admitted batch still re-sends the (evidently
+            # lost) ack that would release it from the EXS outbox.
+            admitted = self.manager.admitted_seq(msg.exs_id)
+            if admitted is not None:
+                self.plane.queue_ack(msg.exs_id, admitted)
+            return
         self.manager.on_message(msg, now_micros() if now is None else now)
 
     # ------------------------------------------------------------------
@@ -360,232 +319,63 @@ class IsmServer:
         received *until_records* records, or — when *expected_connections*
         is given — once every expected connection has come and gone.
         """
-        deadline = None if duration_s is None else time.monotonic() + duration_s
-        seen_connections = 0
-        if self.decode_workers > 0 and self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.decode_workers, thread_name_prefix="ism-decode"
-            )
-        try:
-            while not self._stop.is_set():
-                if deadline is not None and time.monotonic() >= deadline:
-                    break
-                if (
-                    until_records is not None
-                    and self.manager.stats.records_received >= until_records
-                ):
-                    break
-                if (
-                    expected_connections is not None
-                    and seen_connections >= expected_connections
-                    and not self.connections
-                    and not self._pending
-                ):
-                    # "Come and gone" includes accepted connections whose
-                    # Hello has not been read yet — they have come.
-                    break
-                pump_hist = self._pump_hist
-                t0 = time.perf_counter_ns() if pump_hist is not None else 0
-                seen_connections += self._pump_connections()
-                self.manager.tick(now_micros())
-                # Durable acks flush *after* tick: only records the tick
-                # released can have reached (and been fsynced by) the log.
-                self._flush_durable_acks()
-                if pump_hist is not None:
-                    pump_hist.observe((time.perf_counter_ns() - t0) / 1_000.0)
-                self._maybe_sync()
-                self._maybe_throttle()
-                self._maybe_monitor()
-                self._maybe_stats()
-            # Drain in-flight data, then flush the pipeline.  Peers are
-            # told to stop only on an explicit stop() — a duration/record
-            # bound may just be a phase boundary, with serve() called
-            # again.
+        self.plane.arm(duration_s, until_records, expected_connections)
+        while self.plane.next_cycle(self.manager.stats.records_received):
+            pump_hist = self._pump_hist
+            t0 = time.perf_counter_ns() if pump_hist is not None else 0
             self._pump_connections()
-            if self._stop.is_set():
-                for conn in dict.fromkeys(self.connections.values()):
-                    try:
-                        conn.send(protocol.Bye(reason="ism shutdown"))
-                    except OSError:
-                        pass  # peer already gone; the sweep handles it
-            self.manager.flush(now_micros())
-            if self._ack_gate is not None:
-                # The flush released everything still sortable; gate the
-                # final acks on one last sync so a phase boundary leaves
-                # the log checkpoint aligned with what was acked.
-                self._flush_durable_acks()
-                try:
-                    self.durable_sink.sync()
-                except OSError:
-                    self.durable_sync_errors += 1
-        finally:
-            executor, self._executor = self._executor, None
-            if executor is not None:
-                executor.shutdown(wait=True)
+            self.manager.tick(now_micros())
+            # Durable acks flush *after* tick: only records the tick
+            # released can have reached (and been fsynced by) the log.
+            self._flush_durable_acks()
+            if pump_hist is not None:
+                pump_hist.observe((time.perf_counter_ns() - t0) / 1_000.0)
+            self._maybe_sync()
+            self._maybe_stats()
+        # Drain in-flight data, then flush the pipeline.
+        self._pump_connections()
+        self.plane.bye("ism shutdown")
+        self.manager.flush(now_micros())
+        if self._ack_gate is not None:
+            # The flush released everything still sortable; gate the
+            # final acks on one last sync so a phase boundary leaves
+            # the log checkpoint aligned with what was acked.
+            self._flush_durable_acks()
+            try:
+                self.durable_sink.sync()
+            except OSError:
+                self.durable_sync_errors += 1
 
     # ------------------------------------------------------------------
-    def _accept_ready(self) -> int:
-        accepted = 0
-        while True:
-            conn = self.listener.accept(timeout=0.0)
-            if conn is None:
-                return accepted
-            # EXS id unknown until its Hello arrives.
-            self._pending.append(conn)
-            self._last_activity[conn] = time.monotonic()
-            accepted += 1
-
-    def _pump_connections(self) -> int:
-        """One staged pump cycle; returns connections accepted.
-
-        The listener shares the ``select`` with the connections, so a new
-        EXS interrupts the wait instead of queueing behind it.
-        """
-        # Dedupe by identity: a relay connection is bound once per source
-        # it fronts, and a duplicate entry would make the staged read call
-        # recv on an already-drained socket — which blocks the whole loop.
-        conns = self._pending + list(dict.fromkeys(self.connections.values()))
-        try:
-            ready, _, _ = select.select([self.listener, *conns], [], [], 0.005)
-        except (OSError, ValueError):
-            # One bad fd poisons the whole batched select.  Probe each
-            # socket individually and evict the broken ones now — waiting
-            # for a lucky sweep would starve every healthy connection for
-            # as long as the bad fd sticks around.
-            ready = self._probe_sockets(conns)
-        accepted = 0
-        now = now_micros()
-        ready_conns: list[MessageConnection] = []
-        for sock in ready:
-            if sock is self.listener:
-                accepted = self._accept_ready()
-            else:
-                ready_conns.append(sock)
-        if accepted:
-            # Pump just-accepted connections in the same cycle — their
-            # Hello is usually already buffered, and serve()'s
-            # expected_connections accounting assumes accept and first
-            # read happen together.
-            try:
-                fresh, _, _ = select.select(self._pending[-accepted:], [], [], 0.0)
-                ready_conns.extend(fresh)
-            except (OSError, ValueError):
-                pass
-        # Stage 1 — framing: drain each readable socket through its
-        # reusable buffer, slicing out every complete frame payload.
-        mono_now = time.monotonic()
-        staged: list[list] = []  # [conn, msgs, payloads, closed]
-        for sock in ready_conns:
-            payloads: list[bytes] = []
-            closed = False
-            try:
-                payloads = sock.recv_frames(timeout=0.0, assume_ready=True)
-            except (ConnectionClosed, ConnectionResetError, XdrDecodeError):
-                closed = True
+    def _pump_connections(self) -> None:
+        """One pump cycle: drain the plane, decode and route each
+        connection's payloads in arrival order, then send the acks."""
+        now = None
+        conn_node = self._conn_node
+        for conn, payloads in self.plane.pump(0.005):
+            if now is None:
+                now = now_micros()  # once per cycle, after the select wait
             # Messages a blocking probe already decoded come first so the
             # per-connection order is preserved.
-            inbox = sock.drain_inbox()
-            if payloads or inbox:
-                self._last_activity[sock] = mono_now
-            staged.append([sock, inbox, payloads, closed])
-        # Stage 2 — decode: batch-decode each connection's payloads.  The
-        # pool only helps when several connections brought data in the
-        # same cycle; otherwise inline decode skips the handoff cost.
-        executor = self._executor
-        conn_node = self._conn_node
-        if executor is not None and sum(1 for s in staged if s[2]) >= 2:
-            futures = [
-                (s, executor.submit(self._decode_payloads, s[2], conn_node.get(s[0], 0)))
-                for s in staged
-                if s[2]
-            ]
-            for s, future in futures:
-                msgs, bad = future.result()
-                s[1].extend(msgs)
-                s[3] = s[3] or bad
-        else:
-            for s in staged:
-                if s[2]:
-                    msgs, bad = self._decode_payloads(s[2], conn_node.get(s[0], 0))
-                    s[1].extend(msgs)
-                    s[3] = s[3] or bad
-        # Stage 3 — route in arrival order, then sweep dead connections.
-        for conn, msgs, _payloads, closed in staged:
+            msgs = conn.drain_inbox()
+            if msgs:
+                self.plane.touch(conn)
+            bad = False
+            if payloads:
+                decoded, bad = self._decode_payloads(
+                    payloads, conn_node.get(conn, 0)
+                )
+                msgs.extend(decoded)
             for msg in msgs:
                 self._route(conn, msg, now)
-            if closed:
-                self._drop(conn)
-        # Acks ride once per cycle (not per batch) so the acked path adds
-        # O(cycles) sends, invisible next to the batch stream itself.
-        self._flush_acks()
-        self._sweep_idle(mono_now)
-        return accepted
-
-    def _probe_sockets(
-        self, conns: list[MessageConnection]
-    ) -> list[MessageConnection | MessageListener]:
-        """Per-socket 0-timeout probes; evict sockets whose fd is broken."""
-        ready: list[MessageConnection | MessageListener] = []
-        try:
-            r, _, _ = select.select([self.listener], [], [], 0.0)
-            ready.extend(r)
-        except (OSError, ValueError):
-            pass  # listener itself is sick; serve() bounds end the loop
-        for conn in conns:
-            try:
-                r, _, _ = select.select([conn], [], [], 0.0)
-            except (OSError, ValueError):
-                self._drop(conn)
-            else:
-                ready.extend(r)
-        return ready
-
-    def _flush_acks(self) -> None:
-        """Send the cycle's cumulative acks, one control frame per
-        connection: an ``AckBundle`` toward a capability-advertising
-        multiplexing peer, plain per-source ``Ack`` frames otherwise.
-
-        In durable mode this is a no-op: an admission-time ack would let
-        the EXS drop records that are not on disk yet — durable acks go
-        through :meth:`_flush_durable_acks` after the tick instead.
-        """
-        if self._ack_gate is not None:
-            return
-        if not self._ack_pending:
-            return
-        pending, self._ack_pending = self._ack_pending, set()
-        per_conn: dict[MessageConnection, list[tuple[int, int]]] = {}
-        for exs_id in sorted(pending):
-            conn = self.connections.get(exs_id)
-            if conn is None:
-                continue  # source vanished before its ack; resume covers it
-            up_to = self.manager.admitted_seq(exs_id)
-            if up_to is None:
-                continue
-            per_conn.setdefault(conn, []).append((exs_id, up_to))
-        self._send_ack_pairs(per_conn)
-
-    def _send_ack_pairs(
-        self, per_conn: dict[MessageConnection, list[tuple[int, int]]]
-    ) -> None:
-        caps = self._peer_caps
-        for conn, pairs in per_conn.items():
-            try:
-                if len(pairs) > 1 and all(
-                    caps.get(e, 0) & protocol.CAP_ACK_BUNDLE for e, _ in pairs
-                ):
-                    conn.send(protocol.AckBundle(acks=tuple(pairs)))
-                else:
-                    conn.send_many(
-                        [
-                            protocol.encode_message(
-                                protocol.Ack(exs_id=e, up_to_seq=s)
-                            )
-                            for e, s in pairs
-                        ]
-                    )
-            except OSError:
-                self._drop(conn)
+            if bad:
+                self.plane.drop(conn)
+        # Admission acks, staged by dispatch().  Durable mode stages none
+        # here: an admission-time ack would let the EXS drop records that
+        # are not on disk yet, so those go through _flush_durable_acks
+        # after the tick instead.
+        if self._ack_gate is None:
+            self.plane.flush_acks()
 
     def _flush_durable_acks(self) -> None:
         """Durable-mode ack path: advance the gate over fully-released
@@ -615,31 +405,11 @@ class IsmServer:
             self.durable_sync_errors += 1
             return
         gate.commit()
-        per_conn: dict[MessageConnection, list[tuple[int, int]]] = {}
         for exs_id in gate.take_dirty():
-            if exs_id not in self._ack_enabled:
-                continue
             seq = gate.committed(exs_id)
-            if seq is None:
-                continue
-            conn = self.connections.get(exs_id)
-            if conn is None:
-                continue
-            per_conn.setdefault(conn, []).append((exs_id, seq))
-        self._send_ack_pairs(per_conn)
-
-    def _sweep_idle(self, mono_now: float) -> None:
-        """Drop connections silent past the idle deadline (hung peers)."""
-        if self.idle_deadline_s is None:
-            return
-        stale = [
-            conn
-            for conn, last in self._last_activity.items()
-            if mono_now - last > self.idle_deadline_s
-        ]
-        for conn in stale:
-            self.idle_drops += 1
-            self._drop(conn)
+            if seq is not None:
+                self.plane.queue_ack(exs_id, seq)
+        self.plane.flush_acks()
 
     @staticmethod
     def _decode_payloads(
@@ -669,154 +439,32 @@ class IsmServer:
     ) -> None:
         if isinstance(msg, protocol.Hello):
             self.manager.register_source(msg.exs_id, msg.node_id)
-            if conn in self._pending:
-                self._pending.remove(conn)
-            stale = self.connections.get(msg.exs_id)
-            if stale is not None and stale is not conn:
-                # Reconnect raced the EOF of the old socket: retire the
-                # stale connection *before* binding the new one, so the
-                # drop cannot evict the fresh binding.
-                self._drop(stale)
-            self.connections[msg.exs_id] = conn
-            sources = self._conn_sources.setdefault(conn, set())
-            sources.add(msg.exs_id)
+            # Resume handshake: tell the EXS where this manager's history
+            # ends so it can drop acked outbox entries and retransmit the
+            # rest.  Durable mode quotes the *committed* (synced-to-log)
+            # watermark, not the admission watermark: admitted-but-
+            # unsynced batches die with the process, so the EXS must
+            # keep them.
+            if self._ack_gate is not None:
+                last = self._ack_gate.committed(msg.exs_id)
+            else:
+                last = self.manager.admitted_seq(msg.exs_id)
+            if not self.plane.bind(conn, msg, -1 if last is None else last):
+                return
             # The decode-time node hint only holds while every source on
             # the connection agrees on it; a relay fronting several nodes
             # clears it and the manager's stamping pass does the work.
-            if len(sources) == 1:
+            if len(self.plane.sources_on(conn)) == 1:
                 self._conn_node[conn] = msg.node_id
             elif self._conn_node.get(conn) != msg.node_id:
                 self._conn_node[conn] = 0
-            self._peer_caps[msg.exs_id] = msg.capabilities
-            if self.ack_batches and msg.wants_ack:
-                self._ack_enabled.add(msg.exs_id)
-                # Resume handshake: tell the EXS where this manager's
-                # history ends so it can drop acked outbox entries and
-                # retransmit the rest.  -1 = no state, the whole outbox
-                # is unconfirmed.  Durable mode quotes the *committed*
-                # (synced-to-log) watermark, not the admission watermark:
-                # admitted-but-unsynced batches die with the process, so
-                # the EXS must keep them.
-                if self._ack_gate is not None:
-                    last = self._ack_gate.committed(msg.exs_id)
-                else:
-                    last = self.manager.admitted_seq(msg.exs_id)
-                try:
-                    conn.send(
-                        protocol.HelloReply(
-                            exs_id=msg.exs_id,
-                            last_seq=-1 if last is None else last,
-                            capabilities=(
-                                SERVER_CAPS if msg.capabilities else 0
-                            ),
-                        )
-                    )
-                except OSError:
-                    self._drop(conn)
-                    return
-            # Re-apply the desired steering state: a filter pushed while
-            # this source was down (or one it lost to a crash) lands
-            # right behind the resume handshake.  The epoch makes a
-            # duplicate apply a no-op, sampling counters untouched.
-            desired = self._desired_filters.get(msg.exs_id)
-            if desired is not None:
-                self._send_filter(msg.exs_id, desired)
-            self._rebuild_sync_master()
             return
         if isinstance(msg, protocol.Bye):
-            self._drop(conn)
+            self.plane.drop(conn)
             return
         self.dispatch(msg, now)
 
-    def _drop(self, conn: MessageConnection) -> None:
-        # Idempotence by membership, not a tombstone set: a connection the
-        # server no longer tracks anywhere was already dropped (e.g. Bye
-        # routed, then EOF seen in the same cycle).  The old `_dead` set
-        # grew one entry per connection for the server's whole lifetime.
-        tracked = (
-            conn in self._last_activity
-            or conn in self._conn_sources
-            or conn in self._pending
-        )
-        if not tracked:
-            return
-        self._last_activity.pop(conn, None)
-        self._conn_node.pop(conn, None)
-        sources = self._conn_sources.pop(conn, None)
-        if sources:
-            for exs_id in sources:
-                # Only evict an exs→conn binding if it still points at
-                # *this* connection: after a reconnect the id maps to the
-                # new socket, and reaping the stale socket must not tear
-                # the live one out of the ack/sync sets.
-                if self.connections.get(exs_id) is conn:
-                    self.connections.pop(exs_id)
-                    self._ack_enabled.discard(exs_id)
-            self._rebuild_sync_master()
-        if conn in self._pending:
-            self._pending.remove(conn)
-        self.closed_connections += 1
-        self._closed_bytes += conn.bytes_received
-        self._closed_frames += conn.frames_received
-        conn.close()
-
-    # ------------------------------------------------------------------
-    def set_filter(self, exs_id: int, spec) -> bool:
-        """Push a source-side :class:`~repro.core.filtering.FilterSpec`
-        down to one external sensor (§2: the user specifies what to
-        monitor; the EXS drops the rest before transfer).
-
-        The spec is recorded as the desired steering state for that
-        source and stamped with a server-monotone filter epoch, so a
-        disconnected (or reconnecting) EXS receives it the moment its
-        next Hello lands — and duplicate applies are no-ops at the EXS.
-        Returns False when the spec could not be sent *right now* (it
-        will be re-applied on (re)connect).
-        """
-        self._filter_epoch += 1
-        msg = protocol.SetFilter.from_spec(
-            spec, epoch=self._filter_epoch, target_exs_id=exs_id
-        )
-        self._desired_filters[exs_id] = msg
-        return self._send_filter(exs_id, msg)
-
-    def _send_filter(self, exs_id: int, msg: protocol.SetFilter) -> bool:
-        """Put one SetFilter on the wire, downgrading the frame to its
-        legacy form for peers that never advertised ``CAP_STEERING``."""
-        conn = self.connections.get(exs_id)
-        if conn is None:
-            return False
-        if not self._peer_caps.get(exs_id, 0) & protocol.CAP_STEERING:
-            msg = msg.downgraded()
-        try:
-            conn.send(msg)
-        except OSError:
-            self._drop(conn)
-            return False
-        return True
-
-    # ------------------------------------------------------------------
-    # runtime monitor (repro.monitor): engine attachment + actuation
-    # ------------------------------------------------------------------
-    def attach_monitor(self, spec: MonitorSpec) -> MonitorEngine:
-        """Attach a monitor engine evaluating *spec* over the delivered
-        stream.  The engine joins the manager's consumers (so it sees
-        exactly what every tool sees) and is ticked once per pump cycle;
-        its actions actuate through this server's control channel."""
-        engine = MonitorEngine(spec, actuator=self)
-        self.manager.consumers.append(engine)
-        self.monitor = engine
-        return engine
-
-    def _maybe_monitor(self) -> None:
-        if self.monitor is not None:
-            self.monitor.tick(now_micros())
-
     # -- Actuator protocol (repro.monitor.engine.Actuator) -------------
-    def push_filter(self, exs_id: int, spec) -> bool:
-        """Actuator hook: same path as user steering."""
-        return self.set_filter(exs_id, spec)
-
     def request_sync_round(self) -> None:
         """Actuator hook: schedule an extra clock-sync round."""
         master = self.sync_master
@@ -829,7 +477,8 @@ class IsmServer:
 
     # ------------------------------------------------------------------
     def _rebuild_sync_master(self) -> None:
-        if self.sync_config is None or not self.connections:
+        self._sync_members = dict(self.connections)
+        if not self.connections:
             self.sync_master = None
             self.manager.sync_master = None
             return
@@ -840,15 +489,13 @@ class IsmServer:
         self.sync_master = BriskSyncMaster(slaves, self.sync_config)
         self.manager.sync_master = self.sync_master
 
-    def _maybe_throttle(self) -> None:
-        if self.throttle is None:
-            return
-        if time.monotonic() < self._next_throttle:
-            return
-        self._next_throttle = time.monotonic() + self.throttle_period_s
-        self.throttle.observe(now_micros(), dict(self._per_source_counts))
-
     def _maybe_sync(self) -> None:
+        if self.sync_config is None:
+            return
+        if self._sync_members != self.connections:
+            # A source bound, moved to a new socket, or went away since
+            # the slaves were built.
+            self._rebuild_sync_master()
         master = self.sync_master
         if master is None:
             return
@@ -922,7 +569,7 @@ class _ShardHandle:
         self.watermark = 0
 
 
-class ShardedIsmServer:
+class ShardedIsmServer(_IsmFront):
     """The sharded ISM: a thin ingest dispatcher over N shard workers.
 
     The dispatcher owns the listener and every EXS socket, but does *no*
@@ -944,9 +591,8 @@ class ShardedIsmServer:
     the committed ack watermarks as its dedup state — so a SIGKILL'd shard
     costs retransmission, never loss or duplication.
 
-    Clock sync and source throttling are not yet supported in sharded
-    mode — the single-process :class:`IsmServer` remains the tool for
-    deployments that need them.
+    Clock sync is not yet supported in sharded mode — the single-process
+    :class:`IsmServer` remains the tool for deployments that need it.
     """
 
     def __init__(
@@ -976,17 +622,13 @@ class ShardedIsmServer:
             raise ValueError("shards must be >= 1")
         if partition_by not in ("node", "exs"):
             raise ValueError("partition_by must be 'node' or 'exs'")
-        if idle_deadline_s is not None and idle_deadline_s <= 0:
-            raise ValueError("idle_deadline_s must be positive or None")
-        if stats_interval_s is not None and stats_interval_s <= 0:
-            raise ValueError("stats_interval_s must be positive or None")
+        super().__init__(
+            listener, ack_batches, idle_deadline_s, stats_interval_s, stats_sink
+        )
         self.consumers = list(consumers)
-        self.listener = listener
         self.shards = shards
         self.partition_by = partition_by
         self.ism_config = ism_config if ism_config is not None else IsmConfig()
-        self.ack_batches = ack_batches
-        self.idle_deadline_s = idle_deadline_s
         self.input_ring_bytes = input_ring_bytes
         self.output_ring_bytes = output_ring_bytes
         self.overflow_limit = overflow_limit
@@ -998,32 +640,12 @@ class ShardedIsmServer:
         self._handles: list[_ShardHandle] = [_ShardHandle(i) for i in range(shards)]
         self._workers_running = False
         self._stopping = False
-        # Socket-side state (mirrors IsmServer's bookkeeping).
-        self.connections: dict[int, MessageConnection] = {}
-        #: Sources that spoke a Hello on each connection (a relay
-        #: multiplexes many over one socket).
-        self._conn_sources: dict[MessageConnection, set[int]] = {}
         #: Cached shard route per connection — present only while every
         #: source on the connection maps to the same shard, so the hot
-        #: routing loop can skip the per-frame exs-id peek.
-        self._conn_shard: dict[MessageConnection, int] = {}
+        #: routing loop can skip the per-frame exs-id peek.  Kept in the
+        #: plane's per-connection slot, so it goes with the connection.
+        self._conn_shard: dict[MessageConnection, int] = self.plane.conn_data
         self._exs_shard: dict[int, int] = {}
-        #: Capability bits each source's Hello advertised.
-        self._peer_caps: dict[int, int] = {}
-        #: Desired steering state per EXS id (same discipline as
-        #: :class:`IsmServer`): re-applied on every (re)connect, epoch-
-        #: stamped so duplicate applies are no-ops at the EXS.
-        self._desired_filters: dict[int, protocol.SetFilter] = {}
-        self._filter_epoch = 0
-        #: Attached :class:`~repro.monitor.engine.MonitorEngine`.
-        self.monitor: MonitorEngine | None = None
-        #: Highest commit-released ack per source this cycle, flushed as
-        #: one control frame per connection by :meth:`_flush_cycle_acks`.
-        self._cycle_acks: dict[int, int] = {}
-        self._ack_enabled: set[int] = set()
-        self._last_activity: dict[MessageConnection, float] = {}
-        self._pending: list[MessageConnection] = []
-        self._stop = threading.Event()
         #: Committed ack watermarks per EXS — the shard-respawn resume
         #: state, and what survives a serve()/serve() phase boundary.
         self._resume: dict[int, int] = {}
@@ -1049,8 +671,6 @@ class ShardedIsmServer:
         #: post-run stats view still has a per-shard breakdown.
         self._final_shard_snaps: list[tuple[int, MetricsSnapshot]] | None = None
         # Counters (int-like; adopted by the registry when metrics are on).
-        self.closed_connections = Counter("wire.closed_connections")
-        self.idle_drops = Counter("ism.idle_drops")
         self.shard_restarts = Counter("dispatch.shard_restarts")
         self.discarded_records = Counter("dispatch.discarded_records")
         self.frames_forwarded = Counter("dispatch.frames_forwarded")
@@ -1061,16 +681,6 @@ class ShardedIsmServer:
         self.unsupported_frames = Counter("dispatch.unsupported_frames")
         self.consumer_errors = Counter("dispatch.consumer_errors")
         self.records_delivered = Counter("dispatch.records_delivered")
-        self._closed_bytes = 0
-        self._closed_frames = 0
-        self.metrics: MetricsRegistry | None = None
-        self.stats_interval_s = stats_interval_s
-        self.stats_sink = stats_sink if stats_sink is not None else print
-        self._next_stats = (
-            None
-            if stats_interval_s is None
-            else time.monotonic() + stats_interval_s
-        )
         if metrics is not None or stats_interval_s is not None:
             self._enable_metrics(metrics or MetricsRegistry())
 
@@ -1079,8 +689,7 @@ class ShardedIsmServer:
     # ------------------------------------------------------------------
     def _enable_metrics(self, registry: MetricsRegistry) -> None:
         self.metrics = registry
-        registry.adopt_counter(self.closed_connections)
-        registry.adopt_counter(self.idle_drops)
+        self.plane.wire_metrics(registry)
         registry.adopt_counter(self.shard_restarts)
         registry.adopt_counter(self.discarded_records)
         registry.adopt_counter(self.frames_forwarded)
@@ -1094,18 +703,6 @@ class ShardedIsmServer:
         registry.adopt_counter(self.durable_sync_errors)
         registry.gauge_fn(
             "dispatch.held_acks", lambda: len(self._held_acks)
-        )
-        registry.gauge_fn("wire.connections", lambda: len(self.connections))
-        registry.gauge_fn("wire.pending_connections", lambda: len(self._pending))
-        registry.gauge_fn(
-            "wire.bytes_received",
-            lambda: self._closed_bytes
-            + sum(c.bytes_received for c in self._live_conns()),
-        )
-        registry.gauge_fn(
-            "wire.frames_received",
-            lambda: self._closed_frames
-            + sum(c.frames_received for c in self._live_conns()),
         )
         registry.gauge_fn(
             "dispatch.overflow_frames",
@@ -1122,10 +719,6 @@ class ShardedIsmServer:
             registry.gauge_fn(
                 "merge.regressions", lambda: merger.stats.regressions
             )
-
-    def _live_conns(self) -> list[MessageConnection]:
-        # Deduped by identity: a relay conn is bound once per source.
-        return self._pending + list(dict.fromkeys(self.connections.values()))
 
     @property
     def records_received(self) -> int:
@@ -1160,9 +753,7 @@ class ShardedIsmServer:
 
     def metrics_snapshot(self) -> MetricsSnapshot:
         """Fleet-merged snapshot: dispatcher registry + every shard."""
-        if self.metrics is None:
-            self._enable_metrics(MetricsRegistry())
-        snap = self.metrics.snapshot()
+        snap = self._registry().snapshot()
         for _, shard_snap in self.shard_snapshots():
             snap = snap.merge(shard_snap)
         return snap
@@ -1171,26 +762,19 @@ class ShardedIsmServer:
         """JSON-able stats: dispatcher scalars plus per-shard scalars —
         what ``brisk-ism --stats-json`` writes and ``brisk-stats shards``
         renders."""
-        if self.metrics is None:
-            self._enable_metrics(MetricsRegistry())
         return {
-            "dispatcher": dict(self.metrics.snapshot().scalars()),
+            "dispatcher": dict(self._registry().snapshot().scalars()),
             "shards": {
                 str(idx): dict(snap.scalars())
                 for idx, snap in self.shard_snapshots()
             },
         }
 
-    def _maybe_stats(self) -> None:
-        if self._next_stats is None or time.monotonic() < self._next_stats:
-            return
-        self._next_stats = time.monotonic() + self.stats_interval_s
-        if self.metrics is None:
-            self._enable_metrics(MetricsRegistry())
-        self.stats_sink(
+    def _stats_table(self) -> str:
+        return (
             "-- brisk-ism (sharded) stats " + "-" * 14 + "\n"
             + render_shard_breakdown(
-                self.shard_snapshots(), self.metrics.snapshot()
+                self.shard_snapshots(), self._registry().snapshot()
             )
         )
 
@@ -1266,6 +850,21 @@ class ShardedIsmServer:
         handle.shared_in = None
         handle.shared_out = None
 
+    def _salvage(self, handle: _ShardHandle) -> None:
+        """Apply what a dead or stopped worker left in its output ring up
+        to the last commit; count and discard the uncommitted tail."""
+        try:
+            if handle.shared_out is not None:
+                self._ingest_items(
+                    handle, handle.shared_out.ring.drain_bytes()
+                )
+        except (OSError, ValueError):
+            pass
+        self.discarded_records += sum(
+            len(item[1]) for item in handle.staged if item[0] == "d"
+        )
+        handle.staged.clear()
+
     def _check_shards(self) -> None:
         """Detect dead workers; salvage their committed prefix, drop
         their connections (forcing EXS resume), and respawn."""
@@ -1281,18 +880,7 @@ class ShardedIsmServer:
             # ring is fully acked state and must be delivered; the
             # uncommitted tail is discarded — its EXSs were never acked
             # for it and will retransmit to the replacement worker.
-            try:
-                if handle.shared_out is not None:
-                    self._ingest_items(
-                        handle, handle.shared_out.ring.drain_bytes()
-                    )
-            except (OSError, ValueError):
-                pass
-            discarded = sum(
-                len(item[1]) for item in handle.staged if item[0] == "d"
-            )
-            self.discarded_records += discarded
-            handle.staged.clear()
+            self._salvage(handle)
             # Frames stranded in the dead worker's input ring (and any
             # overflow queued behind them) are gone with the segment; the
             # forced reconnect below replays them from the EXS outbox.
@@ -1304,9 +892,10 @@ class ShardedIsmServer:
             # Any connection with at least one source on the dead shard
             # is dropped whole (a multiplexed relay re-Hellos every
             # source on reconnect and retransmits from its outbox).
-            for conn, sources in list(self._conn_sources.items()):
-                if any(self._exs_shard.get(e) == idx for e in sources):
-                    self._drop_conn(conn)
+            for exs_id, shard in self._exs_shard.items():
+                conn = self.connections.get(exs_id)
+                if shard == idx and conn is not None:
+                    self.plane.drop(conn)
             self._teardown_shard(handle, join_timeout_s=1.0)
             self._spawn_shard(handle)
 
@@ -1345,19 +934,7 @@ class ShardedIsmServer:
         # Workers have exited (or timed out): collect the shutdown
         # commits still in the rings, then tear everything down.
         for handle in self._handles:
-            try:
-                if handle.shared_out is not None:
-                    self._ingest_items(
-                        handle, handle.shared_out.ring.drain_bytes()
-                    )
-            except (OSError, ValueError):
-                pass
-            discarded = sum(
-                len(item[1]) for item in handle.staged if item[0] == "d"
-            )
-            if discarded:
-                self.discarded_records += discarded
-            handle.staged.clear()
+            self._salvage(handle)
             self._teardown_shard(handle, join_timeout_s=2.0)
         if self.durable_sink is None:
             self._flush_cycle_acks()
@@ -1383,10 +960,6 @@ class ShardedIsmServer:
     # ------------------------------------------------------------------
     # serve loop
     # ------------------------------------------------------------------
-    def stop(self) -> None:
-        """Ask the serve loop to flush and exit."""
-        self._stop.set()
-
     def serve(
         self,
         duration_s: float | None = None,
@@ -1402,37 +975,16 @@ class ShardedIsmServer:
         loses nothing and a later ``serve`` resumes from the committed
         ack watermarks.
         """
-        deadline = None if duration_s is None else time.monotonic() + duration_s
-        seen_connections = 0
+        self.plane.arm(duration_s, until_records, expected_connections)
         self._ensure_workers()
-        while not self._stop.is_set():
-            if deadline is not None and time.monotonic() >= deadline:
-                break
-            if (
-                until_records is not None
-                and self.records_received >= until_records
-            ):
-                break
-            if (
-                expected_connections is not None
-                and seen_connections >= expected_connections
-                and not self.connections
-                and not self._pending
-            ):
-                break
-            seen_connections += self._pump_sockets()
+        while self.plane.next_cycle(self.records_received):
+            self._pump_sockets()
             self._flush_overflow()
             self._drain_shards()
             self._check_shards()
-            self._maybe_monitor()
             self._maybe_stats()
         self._pump_sockets()
-        if self._stop.is_set():
-            for conn in dict.fromkeys(self.connections.values()):
-                try:
-                    conn.send(protocol.Bye(reason="ism shutdown"))
-                except OSError:
-                    pass
+        self.plane.bye("ism shutdown")
         self._shutdown_workers()
 
     def close(self) -> None:
@@ -1446,87 +998,25 @@ class ShardedIsmServer:
     # ------------------------------------------------------------------
     # ingest plane: sockets → input rings
     # ------------------------------------------------------------------
-    def _accept_ready(self) -> int:
-        accepted = 0
-        while True:
-            conn = self.listener.accept(timeout=0.0)
-            if conn is None:
-                return accepted
-            self._pending.append(conn)
-            self._last_activity[conn] = time.monotonic()
-            accepted += 1
-
-    def _pump_sockets(self) -> int:
-        """One ingest cycle: accept, drain readable sockets, route frames.
+    def _pump_sockets(self) -> None:
+        """One ingest cycle: drain the plane, route each frame.
 
         Read-backpressure: connections whose shard's overflow queue is
-        past the bound are left out of the ``select`` set, so the kernel
-        socket buffer (and ultimately the EXS outbox) absorbs the burst
-        instead of dispatcher memory.
+        past the bound are left out of the ``select`` set (and exempt
+        from the idle sweep — their silence is the dispatcher's doing),
+        so the kernel socket buffer (and ultimately the EXS outbox)
+        absorbs the burst instead of dispatcher memory.
         """
         blocked = {
             h.index
             for h in self._handles
             if len(h.overflow) > self.overflow_limit
         }
-        conns = [
-            conn
-            for conn in self._live_conns()
-            if self._conn_shard.get(conn) not in blocked
-        ]
-        try:
-            ready, _, _ = select.select([self.listener, *conns], [], [], 0.005)
-        except (OSError, ValueError):
-            ready = self._probe_sockets(conns)
-        accepted = 0
-        ready_conns: list[MessageConnection] = []
-        for sock in ready:
-            if sock is self.listener:
-                accepted = self._accept_ready()
-            else:
-                ready_conns.append(sock)
-        if accepted:
-            try:
-                fresh, _, _ = select.select(self._pending[-accepted:], [], [], 0.0)
-                ready_conns.extend(fresh)
-            except (OSError, ValueError):
-                pass
-        mono_now = time.monotonic()
-        for conn in ready_conns:
-            payloads: list[bytes] = []
-            closed = False
-            try:
-                payloads = conn.recv_frames(timeout=0.0, assume_ready=True)
-            except (ConnectionClosed, OSError, XdrDecodeError):
-                # OSError covers resets and EBADF: a conn the ack-flush
-                # path dropped this cycle may still sit in the ready list.
-                closed = True
-            if payloads:
-                self._last_activity[conn] = mono_now
-                self._route_frames(conn, payloads)
-            if closed:
-                self._drop_conn(conn)
-        self._sweep_idle(mono_now)
-        return accepted
-
-    def _probe_sockets(
-        self, conns: list[MessageConnection]
-    ) -> list[MessageConnection | MessageListener]:
-        """Per-socket 0-timeout probes; evict sockets whose fd is broken."""
-        ready: list[MessageConnection | MessageListener] = []
-        try:
-            r, _, _ = select.select([self.listener], [], [], 0.0)
-            ready.extend(r)
-        except (OSError, ValueError):
-            pass
-        for conn in conns:
-            try:
-                r, _, _ = select.select([conn], [], [], 0.0)
-            except (OSError, ValueError):
-                self._drop_conn(conn)
-            else:
-                ready.extend(r)
-        return ready
+        exclude = () if not blocked else {
+            conn for conn, idx in self._conn_shard.items() if idx in blocked
+        }
+        for conn, payloads in self.plane.pump(0.005, exclude):
+            self._route_frames(conn, payloads)
 
     def _route_frames(
         self, conn: MessageConnection, payloads: list[bytes]
@@ -1542,14 +1032,14 @@ class ShardedIsmServer:
         conn_idx = self._conn_shard.get(conn)
         for payload in payloads:
             if len(payload) < 8:
-                self._drop_conn(conn)
+                self.plane.drop(conn)
                 return
             mtype = unpack_from(payload, _MSG_TYPE_OFFSET)[0]
             if mtype == _MT_BATCH:
                 idx = conn_idx
                 if idx is None:
                     if len(payload) < _BATCH_EXS_OFFSET + 4:
-                        self._drop_conn(conn)
+                        self.plane.drop(conn)
                         return
                     exs_id = unpack_from(payload, _BATCH_EXS_OFFSET)[0]
                     idx = exs_shard.get(exs_id)
@@ -1569,7 +1059,7 @@ class ShardedIsmServer:
                 try:
                     inner, exs_id = protocol.peek_compressed(payload)
                 except protocol.ProtocolError:
-                    self._drop_conn(conn)
+                    self.plane.drop(conn)
                     return
                 if inner != _MT_BATCH:
                     self.unsupported_frames += 1
@@ -1585,7 +1075,7 @@ class ShardedIsmServer:
                 try:
                     msg = protocol.decode_message(payload)
                 except (XdrDecodeError, ValueError):
-                    self._drop_conn(conn)
+                    self.plane.drop(conn)
                     return
                 if isinstance(msg, protocol.Hello):
                     self._bind_hello(conn, msg, payload)
@@ -1593,7 +1083,7 @@ class ShardedIsmServer:
                     # route for frames later in this same list.
                     conn_idx = self._conn_shard.get(conn)
             elif mtype == _MT_BYE:
-                self._drop_conn(conn)
+                self.plane.drop(conn)
                 return
             elif mtype == _MT_HEARTBEAT:
                 pass  # liveness only; activity was noted at the socket
@@ -1605,17 +1095,12 @@ class ShardedIsmServer:
     def _bind_hello(
         self, conn: MessageConnection, msg: protocol.Hello, payload: bytes
     ) -> None:
-        if conn in self._pending:
-            self._pending.remove(conn)
-        stale = self.connections.get(msg.exs_id)
-        if stale is not None and stale is not conn:
-            self._drop_conn(stale)
         key = msg.node_id if self.partition_by == "node" else msg.exs_id
         idx = key % self.shards
-        self.connections[msg.exs_id] = conn
-        sources = self._conn_sources.setdefault(conn, set())
-        sources.add(msg.exs_id)
         self._exs_shard[msg.exs_id] = idx
+        if not self.plane.bind(conn, msg):
+            return
+        sources = self.plane.sources_on(conn)
         # Pin the fast routing cache only while every source on this
         # connection lands on the same shard; a relay whose downstream
         # nodes span shards falls back to per-frame exs-id peeks.
@@ -1623,17 +1108,9 @@ class ShardedIsmServer:
             self._conn_shard[conn] = idx
         else:
             self._conn_shard.pop(conn, None)
-        self._peer_caps[msg.exs_id] = msg.capabilities
-        if self.ack_batches and msg.wants_ack:
-            self._ack_enabled.add(msg.exs_id)
         # The shard answers the resume handshake (HELLO_REPLY control
         # record) — it owns the watermark state, not the dispatcher.
         self._forward(idx, payload)
-        # Re-apply the desired steering state for a (re)connecting
-        # source; the epoch makes duplicate applies no-ops at the EXS.
-        desired = self._desired_filters.get(msg.exs_id)
-        if desired is not None:
-            self._send_filter(msg.exs_id, desired)
 
     def _forward(self, idx: int, payload: bytes) -> None:
         handle = self._handles[idx]
@@ -1652,55 +1129,7 @@ class ShardedIsmServer:
                 overflow.popleft()
                 self.frames_forwarded += 1
 
-    # ------------------------------------------------------------------
-    # runtime steering + monitor (mirrors IsmServer)
-    # ------------------------------------------------------------------
-    def set_filter(self, exs_id: int, spec) -> bool:
-        """Push a source-side filter spec to one EXS (see
-        :meth:`IsmServer.set_filter` — identical semantics: the desired
-        state is remembered and re-applied on (re)connect, the epoch
-        makes duplicate applies idempotent).  Returns False when the
-        spec could not be sent right now."""
-        self._filter_epoch += 1
-        msg = protocol.SetFilter.from_spec(
-            spec, epoch=self._filter_epoch, target_exs_id=exs_id
-        )
-        self._desired_filters[exs_id] = msg
-        return self._send_filter(exs_id, msg)
-
-    def _send_filter(self, exs_id: int, msg: protocol.SetFilter) -> bool:
-        conn = self.connections.get(exs_id)
-        if conn is None:
-            return False
-        if not self._peer_caps.get(exs_id, 0) & protocol.CAP_STEERING:
-            msg = msg.downgraded()
-        try:
-            conn.send(msg)
-        except OSError:
-            self._drop_conn(conn)
-            return False
-        return True
-
-    def attach_monitor(self, spec: MonitorSpec) -> MonitorEngine:
-        """Attach a monitor engine over the merged delivered stream.
-        The engine joins the dispatcher's consumers and is ticked once
-        per dispatcher cycle; filter actions ride :meth:`set_filter`.
-        Sharded mode runs no clock sync, so ``sync_round`` actions are
-        accepted and ignored."""
-        engine = MonitorEngine(spec, actuator=self)
-        self.consumers.append(engine)
-        self.monitor = engine
-        return engine
-
-    def _maybe_monitor(self) -> None:
-        if self.monitor is not None:
-            self.monitor.tick(now_micros())
-
     # -- Actuator protocol (repro.monitor.engine.Actuator) -------------
-    def push_filter(self, exs_id: int, spec) -> bool:
-        """Actuator hook: same path as user steering."""
-        return self.set_filter(exs_id, spec)
-
     def request_sync_round(self) -> None:
         """Actuator hook: no-op — sharded mode runs no clock sync."""
 
@@ -1761,22 +1190,7 @@ class ShardedIsmServer:
             exs_id, last_seq = record.values
             if self.durable_sink is not None:
                 last_seq = self._durable_watermarks.get(int(exs_id), -1)
-            conn = self.connections.get(int(exs_id))
-            if conn is not None and self.ack_batches:
-                try:
-                    conn.send(
-                        protocol.HelloReply(
-                            exs_id=int(exs_id),
-                            last_seq=int(last_seq),
-                            capabilities=(
-                                SERVER_CAPS
-                                if self._peer_caps.get(int(exs_id))
-                                else 0
-                            ),
-                        )
-                    )
-                except OSError:
-                    self._drop_conn(conn)
+            self.plane.hello_reply(int(exs_id), int(last_seq))
 
     def _commit(self, handle: _ShardHandle, record: EventRecord) -> None:
         """A shard committed: release its staged prefix downstream.
@@ -1804,7 +1218,7 @@ class ShardedIsmServer:
                     # covers is ≤ it) and the log has synced past them.
                     self._held_acks.append((commit_wm, exs_id, seq))
                 else:
-                    self._send_ack(exs_id, seq)
+                    self.plane.queue_ack(exs_id, seq)
         handle.staged.clear()
         handle.watermark = commit_wm
         received, delivered = record.values
@@ -1856,52 +1270,15 @@ class ShardedIsmServer:
             prev = self._durable_watermarks.get(exs_id)
             if prev is None or seq > prev:
                 self._durable_watermarks[exs_id] = seq
-            self._send_ack(exs_id, seq)
-
-    def _send_ack(self, exs_id: int, seq: int) -> None:
-        """Stage a commit-released ack; the cycle flush sends it."""
-        if not self.ack_batches or exs_id not in self._ack_enabled:
-            return
-        prev = self._cycle_acks.get(exs_id)
-        if prev is None or seq > prev:
-            self._cycle_acks[exs_id] = seq
+            self.plane.queue_ack(exs_id, seq)
 
     def _flush_cycle_acks(self) -> None:
-        """Send the cycle's cumulative acks, one control frame per
-        connection — an ``AckBundle`` toward capability peers with
-        several sources, per-source ``Ack`` frames otherwise.  Before
-        this coalescing, every commit-released ack left as its own
-        small send."""
-        if not self._cycle_acks:
-            return
-        pending, self._cycle_acks = self._cycle_acks, {}
-        per_conn: dict[MessageConnection, list[tuple[int, int]]] = {}
-        for exs_id, seq in sorted(pending.items()):
-            conn = self.connections.get(exs_id)
-            if conn is None:
-                continue  # source vanished before its ack; resume covers it
-            per_conn.setdefault(conn, []).append((exs_id, seq))
-        caps = self._peer_caps
-        for conn, pairs in per_conn.items():
-            try:
-                if len(pairs) > 1 and all(
-                    caps.get(e, 0) & protocol.CAP_ACK_BUNDLE for e, _ in pairs
-                ):
-                    conn.send(protocol.AckBundle(acks=tuple(pairs)))
-                    self.ack_frames_sent += 1
-                else:
-                    conn.send_many(
-                        [
-                            protocol.encode_message(
-                                protocol.Ack(exs_id=e, up_to_seq=s)
-                            )
-                            for e, s in pairs
-                        ]
-                    )
-                    self.ack_frames_sent += len(pairs)
-                self.acks_forwarded += len(pairs)
-            except OSError:
-                self._drop_conn(conn)
+        """Send the cycle's commit-released acks (staged on the plane by
+        :meth:`_commit` / :meth:`_release_durable_acks`), one control
+        frame per connection."""
+        frames, pairs = self.plane.flush_acks()
+        self.ack_frames_sent += frames
+        self.acks_forwarded += len(pairs)
 
     def _deliver(self, records: list[EventRecord]) -> None:
         if not records:
@@ -1918,52 +1295,3 @@ class ShardedIsmServer:
                         deliver(record)
             except Exception:
                 self.consumer_errors += 1
-
-    # ------------------------------------------------------------------
-    # connection bookkeeping
-    # ------------------------------------------------------------------
-    def _sweep_idle(self, mono_now: float) -> None:
-        """Drop connections silent past the idle deadline.
-
-        Connections whose shard is backpressured are exempt: they are
-        deliberately excluded from the select set, so their silence is
-        the dispatcher's doing, not the peer's.
-        """
-        if self.idle_deadline_s is None:
-            return
-        blocked = {
-            h.index
-            for h in self._handles
-            if len(h.overflow) > self.overflow_limit
-        }
-        stale = [
-            conn
-            for conn, last in self._last_activity.items()
-            if mono_now - last > self.idle_deadline_s
-            and self._conn_shard.get(conn) not in blocked
-        ]
-        for conn in stale:
-            self.idle_drops += 1
-            self._drop_conn(conn)
-
-    def _drop_conn(self, conn: MessageConnection) -> None:
-        tracked = (
-            conn in self._last_activity
-            or conn in self._conn_sources
-            or conn in self._pending
-        )
-        if not tracked:
-            return
-        self._last_activity.pop(conn, None)
-        self._conn_shard.pop(conn, None)
-        sources = self._conn_sources.pop(conn, None)
-        for exs_id in sources or ():
-            if self.connections.get(exs_id) is conn:
-                self.connections.pop(exs_id)
-                self._ack_enabled.discard(exs_id)
-        if conn in self._pending:
-            self._pending.remove(conn)
-        self.closed_connections += 1
-        self._closed_bytes += conn.bytes_received
-        self._closed_frames += conn.frames_received
-        conn.close()

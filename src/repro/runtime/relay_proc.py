@@ -50,8 +50,6 @@ their exactly-once re-apply semantics across relay hops.
 
 from __future__ import annotations
 
-import select
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -60,19 +58,11 @@ from repro.core.records import EventRecord
 from repro.obs.metrics import Counter
 from repro.obs.reporter import METRICS_EVENT_ID
 from repro.runtime.exs_proc import _PEER_LOST, ExsOutbox
+from repro.runtime.plane import PLANE_CAPS, ConnectionPlane
 from repro.util.timebase import monotonic_s, now_micros
 from repro.wire import protocol
 from repro.wire.tcp import MessageConnection, MessageListener, connect
-from repro.xdr import XdrEncoder
-
-#: Capabilities the relay can *receive*: bundled acks from upstream, and
-#: compressed/coalesced traffic from downstream child relays.
-RELAY_CAPS = (
-    protocol.CAP_COMPRESS
-    | protocol.CAP_ACK_BUNDLE
-    | protocol.CAP_SEQ_RANGE
-    | protocol.CAP_STEERING
-)
+from repro.xdr import XdrDecodeError, XdrEncoder
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,16 +148,13 @@ class _Envelope:
 
 @dataclass
 class _Source:
-    """Per-downstream-source relay state (keyed by exs id)."""
+    """Per-downstream-source relay state (keyed by exs id).  What the
+    source's *connection* is, wants and can decode is the plane's."""
 
     exs_id: int
-    node_id: int
-    conn: MessageConnection | None
+    #: The source's latest Hello (node id, advertised rate), re-sent
+    #: upstream on every upstream (re)connect.
     hello: protocol.Hello
-    #: Whether the downstream peer consumes acks/replies.
-    down_wants_ack: bool = False
-    #: Capability bits the downstream peer advertised.
-    down_caps: int = 0
     #: Upstream-committed watermark (from upstream HelloReply + acks);
     #: the only value ever quoted downstream.
     admitted: int = -1
@@ -180,9 +167,6 @@ class _Source:
     acked_down: int = -1
     #: Upstream handshake state: envelopes flush only once True.
     ready: bool = False
-    #: Last upstream ``SetFilter`` aimed at this source — re-applied on
-    #: downstream reconnect (epoch-idempotent at the EXS).
-    desired_filter: protocol.SetFilter | None = None
     #: Decoded batches awaiting the upstream HelloReply.
     prequeue: deque[_Envelope] = field(default_factory=deque)
     #: Envelopes currently held in the merger (backpressure accounting).
@@ -203,20 +187,19 @@ class RelayServer:
         self.listener = listener if listener is not None else MessageListener(
             config.listen_host, config.listen_port
         )
+        #: The downstream face.  No idle deadline: a quiet sensor is not a
+        #: hung one, and the relay's own upstream heartbeat is what keeps
+        #: the tree's liveness signal going.
+        self.plane = ConnectionPlane(self.listener)
         self.upstream: MessageConnection | None = None
         self.sources: dict[int, _Source] = {}
-        #: Downstream conn → exs ids heard on it (a child relay is many).
-        self._conn_sources: dict[MessageConnection, set[int]] = {}
         self.merger: OrderedMerger[_Envelope] = OrderedMerger()
         self._enc = XdrEncoder()
-        self._stop = threading.Event()
         self._upstream_caps = 0
         self._last_flush = monotonic_s()
         self._last_upstream_send = monotonic_s()
         self._next_connect_at = 0.0
         self._backoff_s = config.reconnect_backoff_s
-        #: Downstream acks to quote this cycle: exs id → watermark.
-        self._cycle_acks: dict[int, int] = {}
 
         # -- counters (exported by repro.obs.collect.wire_relay) --------
         self.batches_in = Counter("relay.batches_in")
@@ -245,15 +228,13 @@ class RelayServer:
 
     def stop(self) -> None:
         """Ask the serve loop to exit after the current cycle."""
-        self._stop.set()
+        self.plane.stop()
 
     def serve(self, duration_s: float | None = None) -> None:
         """Run the relay loop until stopped (or *duration_s* elapses)."""
-        deadline = None if duration_s is None else monotonic_s() + duration_s
+        self.plane.arm(duration_s)
         try:
-            while not self._stop.is_set():
-                if deadline is not None and monotonic_s() >= deadline:
-                    break
+            while self.plane.next_cycle():
                 self._pump_once()
         finally:
             self._shutdown()
@@ -262,74 +243,40 @@ class RelayServer:
     def _pump_once(self) -> None:
         if self.upstream is None:
             self._maybe_connect_upstream()
-        readers: list[MessageListener | MessageConnection] = [self.listener]
-        for conn, exs_ids in self._conn_sources.items():
-            if any(self._backpressured(e) for e in exs_ids):
-                continue  # stop reading until acks free outbox room
-            readers.append(conn)
-        if self.upstream is not None:
-            readers.append(self.upstream)
+        # Read backpressure: stop reading a connection until acks free
+        # outbox (or merge) room for every source it carries.
+        limit = self.config.pending_limit
+        exclude: set[MessageConnection] = set()
+        for exs_id, conn in self.plane.connections.items():
+            src = self.sources[exs_id]  # bound implies known: see the Hello
+            if src.outbox.full or src.queued + len(src.prequeue) >= limit:
+                exclude.add(conn)
         now = monotonic_s()
         until_flush = self.config.flush_interval_s - (now - self._last_flush)
         timeout = max(0.0, min(self.config.select_timeout_s, until_flush))
-        try:
-            ready, _, _ = select.select(readers, [], [], timeout)
-        except (OSError, ValueError):
-            self._evict_dead()
-            return
-        for sock in ready:
-            if sock is self.listener:
-                accepted = self.listener.accept(timeout=0.0)
-                if accepted is not None:
-                    self._conn_sources.setdefault(accepted, set())
-            elif sock is self.upstream:
+        extra = () if self.upstream is None else (self.upstream,)
+        for conn, payloads in self.plane.pump(timeout, exclude, extra):
+            if conn is self.upstream:
                 self._drain_upstream()
             else:
-                self._drain_downstream(sock)
+                self._on_downstream_frames(conn, payloads)
         if monotonic_s() - self._last_flush >= self.config.flush_interval_s:
             self._flush_upstream()
             self._last_flush = monotonic_s()
         self._flush_downstream_acks()
         self._maybe_heartbeat()
 
-    def _backpressured(self, exs_id: int) -> bool:
-        src = self.sources.get(exs_id)
-        if src is None:
-            return False
-        return (
-            src.outbox.full
-            or src.queued + len(src.prequeue) >= self.config.pending_limit
-        )
-
-    def _evict_dead(self) -> None:
-        """Drop downstream connections whose fd went away mid-select."""
-        for conn in list(self._conn_sources):
-            try:
-                valid = conn.fileno() >= 0
-            except (OSError, ValueError):
-                valid = False
-            if not valid:
-                self._drop_downstream(conn)
-        if self.upstream is not None:
-            try:
-                valid = self.upstream.fileno() >= 0
-            except (OSError, ValueError):
-                valid = False
-            if not valid:
-                self._lose_upstream()
-
     # -- downstream ----------------------------------------------------
-    def _drain_downstream(self, conn: MessageConnection) -> None:
-        try:
-            payloads = conn.recv_frames(timeout=0.0, assume_ready=True)
-        except _PEER_LOST:
-            self._drop_downstream(conn)
-            return
+    def _on_downstream_frames(
+        self, conn: MessageConnection, payloads: list[bytes]
+    ) -> None:
         for payload in payloads:
             try:
                 self._on_downstream_frame(conn, payload)
-            except protocol.ProtocolError:
-                self._drop_downstream(conn)
+            except XdrDecodeError:
+                # Malformed or protocol-violating: the stream past it is
+                # untrustworthy.
+                self.plane.drop(conn)
                 return
 
     def _on_downstream_frame(
@@ -346,7 +293,7 @@ class RelayServer:
         elif isinstance(msg, protocol.Heartbeat):
             self.heartbeats_absorbed += 1
         elif isinstance(msg, protocol.Bye):
-            self._drop_downstream(conn)
+            self.plane.drop(conn)
         else:
             # Acks/replies/sync have no downstream-to-upstream meaning.
             self.dropped_control += 1
@@ -358,40 +305,28 @@ class RelayServer:
         if src is None:
             src = _Source(
                 exs_id=msg.exs_id,
-                node_id=msg.node_id,
-                conn=conn,
                 hello=msg,
                 outbox=ExsOutbox(self.config.outbox_depth),
             )
             self.sources[msg.exs_id] = src
             self.merger.add_shard(msg.exs_id)
         else:
-            if src.conn is not None and src.conn is not conn:
-                # Stale binding from a dropped socket: forget it.
-                old = self._conn_sources.get(src.conn)
-                if old is not None:
-                    old.discard(msg.exs_id)
-            src.conn = conn
-            src.node_id = msg.node_id
             src.hello = msg
-        src.down_wants_ack = msg.wants_ack
-        src.down_caps = msg.capabilities
         src.ready = False
-        self._conn_sources.setdefault(conn, set()).add(msg.exs_id)
+        # The downstream HelloReply waits for the upstream's (see
+        # _on_upstream_hello_reply); a held filter is re-applied now.
+        self.plane.bind(conn, msg)
         self._forward_hello(src)
-        # Re-apply held steering state to the (re)connected source.
-        if src.desired_filter is not None:
-            self._send_filter_down(src)
 
     def _forward_hello(self, src: _Source) -> None:
         if self.upstream is None:
             return  # re-sent for every source on upstream (re)connect
         up_hello = protocol.Hello(
             exs_id=src.exs_id,
-            node_id=src.node_id,
+            node_id=src.hello.node_id,
             advertised_rate=src.hello.advertised_rate,
             wants_ack=True,
-            capabilities=RELAY_CAPS,
+            capabilities=PLANE_CAPS,
         )
         try:
             self.upstream.send(up_hello)
@@ -403,9 +338,9 @@ class RelayServer:
         self, conn: MessageConnection, msg: protocol.Batch, payload: bytes
     ) -> None:
         src = self.sources.get(msg.exs_id)
-        if src is None or src.conn is not conn:
+        if src is None or self.plane.connections.get(msg.exs_id) is not conn:
             # Batch before Hello: protocol violation downstream.
-            self._drop_downstream(conn)
+            self.plane.drop(conn)
             return
         first = msg.seq if msg.first_seq is None else msg.first_seq
         compressed_in = (
@@ -434,7 +369,7 @@ class RelayServer:
             # outbox (or the upstream commit) will cover it; ack when the
             # upstream watermark does.
             self.duplicate_batches += 1
-            if env.last <= src.admitted and src.down_wants_ack:
+            if env.last <= src.admitted:
                 self._queue_down_ack(src)
             return
         if env.first <= floor:
@@ -445,14 +380,6 @@ class RelayServer:
         src.enqueued = env.last
         src.queued += 1
         self.merger.push(src.exs_id, (env,))
-
-    def _drop_downstream(self, conn: MessageConnection) -> None:
-        exs_ids = self._conn_sources.pop(conn, set())
-        for exs_id in exs_ids:
-            src = self.sources.get(exs_id)
-            if src is not None and src.conn is conn:
-                src.conn = None
-        conn.close()
 
     # -- upstream ------------------------------------------------------
     def _maybe_connect_upstream(self) -> None:
@@ -541,36 +468,20 @@ class RelayServer:
         """Route a steering push to the downstream source it names.
 
         ``target_exs_id=0`` (a legacy or broadcast frame) fans out to
-        every known source.  Each targeted source remembers the frame so
-        a reconnecting EXS gets it re-applied — the upstream epoch rides
-        through unchanged, keeping duplicate applies no-ops end to end.
+        every known source.  The plane remembers the frame per targeted
+        source *unchanged*, so a reconnecting EXS gets it re-applied with
+        the upstream's epoch — duplicate applies stay no-ops end to end.
+        Each push counts once: forwarded if it reached the source now,
+        held if the source is between connections.
         """
-        if msg.target_exs_id:
-            targets = [self.sources.get(msg.target_exs_id)]
-        else:
-            targets = list(self.sources.values())
-        for src in targets:
-            if src is None:
+        targets = [msg.target_exs_id] if msg.target_exs_id else list(self.sources)
+        for exs_id in targets:
+            if exs_id not in self.sources:
                 self.dropped_control += 1
-                continue
-            src.desired_filter = msg
-            self._send_filter_down(src)
-
-    def _send_filter_down(self, src: _Source) -> None:
-        msg = src.desired_filter
-        if msg is None:
-            return
-        if src.conn is None:
-            # Source is between connections: held, re-applied on Hello.
-            self.filters_held += 1
-            return
-        if not src.down_caps & protocol.CAP_STEERING:
-            msg = msg.downgraded()
-        try:
-            src.conn.send(msg)
-            self.filters_forwarded += 1
-        except _PEER_LOST:
-            self._drop_downstream(src.conn)
+            elif self.plane.hold_filter(exs_id, msg):
+                self.filters_forwarded += 1
+            else:
+                self.filters_held += 1
 
     def _on_upstream_ack(self, exs_id: int, up_to_seq: int) -> None:
         src = self.sources.get(exs_id)
@@ -579,8 +490,7 @@ class RelayServer:
         src.outbox.ack(up_to_seq)
         if up_to_seq > src.admitted:
             src.admitted = up_to_seq
-            if src.down_wants_ack:
-                self._queue_down_ack(src)
+            self._queue_down_ack(src)
 
     def _on_upstream_hello_reply(self, msg: protocol.HelloReply) -> None:
         src = self.sources.get(msg.exs_id)
@@ -606,17 +516,8 @@ class RelayServer:
         src.ready = True
         while src.prequeue:
             self._admit_envelope(src, src.prequeue.popleft())
-        if src.down_wants_ack and src.conn is not None:
-            reply = protocol.HelloReply(
-                exs_id=src.exs_id,
-                last_seq=src.admitted,
-                capabilities=RELAY_CAPS if src.down_caps else 0,
-            )
-            try:
-                src.conn.send(reply)
-                src.acked_down = src.admitted
-            except _PEER_LOST:
-                self._drop_downstream(src.conn)
+        if self.plane.hello_reply(src.exs_id, src.admitted):
+            src.acked_down = src.admitted
 
     # -- the multiplier: coalesce, reduce, compress, ship --------------
     def _flush_upstream(self) -> None:
@@ -739,45 +640,19 @@ class RelayServer:
     # -- downstream acks -----------------------------------------------
     def _queue_down_ack(self, src: _Source) -> None:
         if src.admitted > src.acked_down:
-            self._cycle_acks[src.exs_id] = src.admitted
+            self.plane.queue_ack(src.exs_id, src.admitted)
 
     def _flush_downstream_acks(self) -> None:
         """Quote upstream-committed watermarks downstream, one control
-        frame per connection per cycle (bundle or vectored singles)."""
-        if not self._cycle_acks:
-            return
-        by_conn: dict[MessageConnection, list[tuple[int, int]]] = {}
-        for exs_id, seq in self._cycle_acks.items():
+        frame per connection per cycle (the plane picks bundle or
+        vectored singles)."""
+        frames, pairs = self.plane.flush_acks()
+        self.ack_frames_down += frames
+        for exs_id, seq in pairs:
             src = self.sources.get(exs_id)
-            if src is None or src.conn is None:
-                continue
-            by_conn.setdefault(src.conn, []).append((exs_id, seq))
-        self._cycle_acks.clear()
-        for conn, pairs in by_conn.items():
-            bundle_ok = all(
-                self.sources[e].down_caps & protocol.CAP_ACK_BUNDLE
-                for e, _ in pairs
-            )
-            try:
-                if bundle_ok and len(pairs) > 1:
-                    conn.send(protocol.AckBundle(acks=tuple(pairs)))
-                    self.ack_frames_down += 1
-                else:
-                    conn.send_many(
-                        [
-                            protocol.encode_message(protocol.Ack(e, s))
-                            for e, s in pairs
-                        ]
-                    )
-                    self.ack_frames_down += len(pairs)
-            except _PEER_LOST:
-                self._drop_downstream(conn)
-                continue
-            for exs_id, seq in pairs:
-                src = self.sources.get(exs_id)
-                if src is not None and seq > src.acked_down:
-                    src.acked_down = seq
-                    self.acks_down_sent += 1
+            if src is not None and seq > src.acked_down:
+                src.acked_down = seq
+                self.acks_down_sent += 1
 
     def _maybe_heartbeat(self) -> None:
         interval = self.config.heartbeat_interval_s
@@ -806,8 +681,9 @@ class RelayServer:
                 pass
             self.upstream.close()
             self.upstream = None
-        for conn in list(self._conn_sources):
-            self._drop_downstream(conn)
+        # No Bye downstream: an EXS treats Bye as "stop", and a relay going
+        # away must look like a lost connection it reconnects from.
+        self.plane.close()
         self.listener.close()
 
     @property
@@ -827,7 +703,7 @@ class RelayServer:
         return {
             "relay_id": self.config.relay_id,
             "sources": len(self.sources),
-            "downstream_connections": len(self._conn_sources),
+            "downstream_connections": len(self.plane.live()),
             "upstream_connected": self.upstream is not None,
             "held_envelopes": self.held_envelopes,
             "unacked_frames": self.unacked_frames,

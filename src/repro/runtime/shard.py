@@ -189,7 +189,7 @@ class ShardWorker:
         # if this worker dies, so telling the EXS about it would let the
         # outbox drop batches that could still need retransmission).
         self._ack_gate = AckGate(config.resume_state)
-        self._ack_enabled: set[int] = set()
+        self._wants_ack: set[int] = set()
         # Merge-watermark high water: the max sort key pushed downstream.
         self._high_water: tuple[int, int, int] | None = None
         self._pushed_since_commit = False
@@ -271,7 +271,7 @@ class ShardWorker:
         self._nodes[msg.exs_id] = msg.node_id
         self.manager.register_source(msg.exs_id, msg.node_id)
         if msg.wants_ack:
-            self._ack_enabled.add(msg.exs_id)
+            self._wants_ack.add(msg.exs_id)
             last = self._ack_gate.committed(msg.exs_id)
             # The reply carries the *committed* ack watermark, not the
             # admission watermark: batches admitted but still parked in
@@ -295,7 +295,7 @@ class ShardWorker:
         if duplicate:
             # Re-ack the current watermark so a resumed EXS retransmitting
             # acked batches converges instead of waiting for new data.
-            if exs_id in self._ack_enabled:
+            if exs_id in self._wants_ack:
                 self._ack_gate.mark_dirty(exs_id)
             return
         self._ack_gate.on_admitted(exs_id, msg.seq, len(msg.records))
@@ -314,7 +314,7 @@ class ShardWorker:
 
     def _flush_acks(self) -> None:
         for exs_id in self._ack_gate.take_dirty():
-            if exs_id not in self._ack_enabled:
+            if exs_id not in self._wants_ack:
                 continue
             seq = self._ack_gate.acked(exs_id)
             if seq is not None:

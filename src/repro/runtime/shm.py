@@ -39,9 +39,9 @@ class SharedRing:
 
     def close(self) -> None:
         """Detach (and destroy, when owner) the segment."""
-        # Drop the ring's memoryview before closing, else CPython refuses
+        # Drop the ring's memoryviews before closing, else CPython refuses
         # to release the mapping ("cannot close exported pointers exist").
-        self.ring._view.release()  # noqa: SLF001 - deliberate teardown hook
+        self.ring.release()
         self.shm.close()
         if self.owner:
             try:

@@ -64,10 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shared output segment capacity in MiB",
     )
     parser.add_argument(
-        "--throttle-rate", type=float, default=None,
-        help="enable auto-throttling toward this aggregate events/second",
-    )
-    parser.add_argument(
         "--stats-interval", type=float, default=None,
         help="print a self-observability metrics table every N seconds",
     )
@@ -143,13 +139,6 @@ def main(argv: list[str] | None = None) -> int:
         manager, listener, sync_config, sync_period_s=args.sync_period or 5.0,
         stats_interval_s=args.stats_interval,
     )
-    if args.throttle_rate:
-        from repro.runtime.throttle import AutoThrottle, ThrottleConfig
-
-        server.throttle = AutoThrottle(
-            server.set_filter,
-            ThrottleConfig(target_rate_hz=args.throttle_rate),
-        )
     if args.monitor_spec:
         _attach_monitor(server, args.monitor_spec)
     try:
@@ -179,12 +168,6 @@ def _serve_sharded(args, ism_config, consumers, listener) -> int:
     """Run the dispatcher + shard-worker fleet behind the same flags."""
     from repro.runtime.ism_proc import ShardedIsmServer
 
-    if args.throttle_rate:
-        print(
-            "--throttle-rate is not supported with --shards > 1",
-            file=sys.stderr,
-        )
-        return 2
     if args.sync_period > 0:
         print(
             "note: clock sync is unavailable in sharded mode; "

@@ -35,3 +35,18 @@ class Dispatcher:
         # BRK703: output-ring drain straight into delivery.
         items = handle.shared_out.ring.drain_bytes()
         self.merger.push(items)
+
+
+from repro.runtime.plane import ConnectionPlane
+
+
+class PlaneOwner:
+    def __init__(self, durable_sink):
+        self.durable_sink = durable_sink
+        self.plane = ConnectionPlane()
+
+    def flush_cycle(self):
+        # BRK701: the release is the plane's helper — the Ack is built in
+        # another module — and still nothing synced before it.
+        if self.durable_sink is not None:
+            self.plane.flush_acks()

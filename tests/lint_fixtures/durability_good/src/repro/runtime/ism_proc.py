@@ -42,3 +42,20 @@ class Dispatcher:
 
     def _ingest_items(self, handle, items):
         self.staged.extend(items)
+
+
+from repro.runtime.plane import ConnectionPlane
+
+
+class PlaneOwner:
+    def __init__(self, durable_sink):
+        self.durable_sink = durable_sink
+        self.plane = ConnectionPlane()
+
+    def flush_cycle(self):
+        # The plane's release helper after the covering sync: clean.
+        try:
+            self.durable_sink.sync()
+        except OSError:
+            return
+        self.plane.flush_acks()

@@ -335,6 +335,7 @@ class TestDurability:
         result = lint_fixture("durability_bad", select=["BRK7"])
         assert sorted((f.rule, f.line) for f in result.new) == [
             ("BRK701", 17),   # take_dirty with no preceding sync
+            ("BRK701", 52),   # self.plane.flush_acks(): release built in plane.py
             ("BRK702", 31),   # acked() feeding a HelloReply
             ("BRK703", 37),   # output-ring drain into merger.push
             ("BRK704", 25),   # fall-through sync handler

@@ -428,66 +428,3 @@ def test_drain_all_splits_between_busy_rings() -> None:
     assert len(drained) == 8  # both rings busy: the even split stands
     timestamps = [native.timestamp_of(p) for p in drained]
     assert timestamps == sorted(timestamps)
-
-
-# ----------------------------------------------------------------------
-# staged server pump with a decode worker pool
-# ----------------------------------------------------------------------
-
-def test_ism_server_decode_workers_end_to_end() -> None:
-    import threading
-
-    from repro.core.ism import InstrumentationManager
-    from repro.runtime.ism_proc import IsmServer
-    from repro.wire.tcp import MessageListener, connect
-
-    collected = CollectingConsumer()
-    manager = InstrumentationManager(
-        config=IsmConfig(expire_interval_us=0), consumers=[collected]
-    )
-    listener = MessageListener()
-    host, port = listener.address
-    server = IsmServer(manager, listener, decode_workers=2)
-    n_exs, n_batches, per_batch = 3, 20, 25
-    total = n_exs * n_batches * per_batch
-
-    def run_exs(exs_id: int) -> None:
-        conn = connect(host, port)
-        conn.send(protocol.Hello(exs_id=exs_id, node_id=exs_id))
-        for seq in range(n_batches):
-            records = tuple(
-                _plain(seq * per_batch + i, 1_000 * (seq * per_batch + i))
-                for i in range(per_batch)
-            )
-            conn.send_raw(
-                protocol.encode_batch_records(exs_id, seq, records)
-            )
-        conn.send(protocol.Bye())
-        conn.close()
-
-    threads = [
-        threading.Thread(target=run_exs, args=(exs_id,))
-        for exs_id in range(1, n_exs + 1)
-    ]
-    server_thread = threading.Thread(
-        target=server.serve,
-        kwargs={"duration_s": 30.0, "expected_connections": n_exs},
-    )
-    server_thread.start()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    server_thread.join(timeout=30.0)
-    listener.close()
-    assert not server_thread.is_alive()
-    assert manager.stats.records_received == total
-    assert manager.stats.seq_gaps == 0
-    assert len(collected.records) == total
-    # Per-source arrival order survives the parallel decode stage.
-    per_source: dict[int, list[int]] = {}
-    for record in collected.records:
-        per_source.setdefault(record.node_id, []).append(record.event_id)
-    assert set(per_source) == {1, 2, 3}
-    for event_ids in per_source.values():
-        assert event_ids == sorted(event_ids)

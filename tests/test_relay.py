@@ -442,7 +442,7 @@ class TestRelayedEqualsDirect:
                 message="sharded relayed pipeline did not drain",
             )
             # The ingest plane fronts 2 sensors over exactly 1 socket.
-            assert len(server._conn_sources) == 1
+            assert len(server.plane._conn_sources) == 1
             assert set(server.connections) == {1, 2}
         finally:
             for proc, t in procs:

@@ -1,7 +1,10 @@
 """Unit tests for the SPSC ring buffer."""
 
+import multiprocessing as mp
+import time
+
 import pytest
-from tests.conftest import make_record
+from tests.conftest import make_record, wait_until
 
 from repro.core import native
 from repro.core.ringbuffer import (
@@ -11,6 +14,7 @@ from repro.core.ringbuffer import (
     RingBufferFull,
     ring_for_records,
 )
+from repro.runtime.shm import attach_shared_ring, create_shared_ring
 
 
 def small_ring(data_bytes: int = 256, policy=OverflowPolicy.DROP_NEW) -> RingBuffer:
@@ -163,6 +167,51 @@ class TestSharedHeaderSemantics:
         fresh = RingBuffer(buf)  # re-init without attach
         assert fresh.used == 0
         assert fresh.dropped == 0
+
+
+_WORD_A = 0x0101_0101_0101_0101
+_WORD_B = 0xFEFE_FEFE_FEFE_FEFE
+
+
+def _flip_header_word(ring_name: str, seconds: float) -> None:
+    shared = attach_shared_ring(ring_name)
+    try:
+        ring = shared.ring
+        deadline = time.monotonic() + seconds
+        while time.monotonic() < deadline:
+            for _ in range(1_000):
+                ring._set_dropped(_WORD_B)
+                ring._set_dropped(_WORD_A)
+    finally:
+        shared.close()
+
+
+class TestHeaderWordsAcrossProcesses:
+    def test_peer_process_never_sees_a_torn_header_word(self):
+        """A header word is read while another *process* rewrites it.
+
+        ``struct.pack_into`` zeroes the word and fills it byte by byte,
+        so a reader caught roughly one write in nine half-done — for
+        ``head`` that means draining memory nobody wrote yet.  Every byte
+        of the two values differs, so any mix of them is neither.
+        """
+        shared = create_shared_ring(4096)
+        writer = mp.get_context("spawn").Process(
+            target=_flip_header_word, args=(shared.name, 1.5), daemon=True
+        )
+        try:
+            ring = shared.ring
+            ring._set_dropped(_WORD_A)
+            writer.start()
+            wait_until(lambda: ring.dropped == _WORD_B, timeout=20.0, interval=0)
+            seen = {_WORD_A: 0, _WORD_B: 0}
+            while writer.is_alive():
+                for _ in range(10_000):
+                    seen[ring.dropped] += 1  # KeyError = a torn read
+            assert min(seen.values()) > 0  # the reads really did race the writes
+        finally:
+            writer.join(timeout=10)
+            shared.close()
 
 
 class TestFactory:

@@ -1,6 +1,5 @@
-"""Unit tests for ASCII timeline rendering and the auto-throttle loop."""
+"""Unit tests for ASCII timeline rendering."""
 
-import pytest
 from tests.conftest import make_record
 
 from repro.analysis.timeline import (
@@ -11,9 +10,7 @@ from repro.analysis.timeline import (
     render_rate_heatmap,
 )
 from repro.analysis.trace import Trace
-from repro.core.filtering import FilterSpec
 from repro.core.records import EventRecord, FieldType
-from repro.runtime.throttle import AutoThrottle, ThrottleConfig
 
 
 def span_record(event_id: int, span_id: int, label: str, ts: int, node: int = 1):
@@ -125,78 +122,3 @@ class TestRenderers:
         ]
         art = render_event_timeline(Trace(records), max_lanes=5)
         assert "(+15 more event types)" in art
-
-
-class FakePush:
-    def __init__(self):
-        self.calls: list[tuple[int, FilterSpec]] = []
-
-    def __call__(self, exs_id: int, spec: FilterSpec) -> None:
-        self.calls.append((exs_id, spec))
-
-
-class TestAutoThrottle:
-    def make(self, target=1_000.0):
-        push = FakePush()
-        throttle = AutoThrottle(
-            push, ThrottleConfig(target_rate_hz=target, max_sample_every=8)
-        )
-        return push, throttle
-
-    def test_first_observation_is_warmup(self):
-        _, throttle = self.make()
-        assert throttle.observe(0, {1: 0}) == "warmup"
-
-    def test_holds_inside_band(self):
-        push, throttle = self.make(target=1_000.0)
-        throttle.observe(0, {1: 0})
-        action = throttle.observe(1_000_000, {1: 1_000})  # exactly on target
-        assert action == "hold"
-        assert push.calls == []
-
-    def test_tightens_busiest_source_on_overload(self):
-        push, throttle = self.make(target=1_000.0)
-        throttle.observe(0, {1: 0, 2: 0})
-        action = throttle.observe(1_000_000, {1: 5_000, 2: 100})
-        assert action == "tighten exs 1 -> 1/2"
-        assert push.calls == [(1, FilterSpec(sample_every=2))]
-
-    def test_tightening_doubles_until_cap(self):
-        push, throttle = self.make(target=10.0)
-        counts = 0
-        throttle.observe(0, {1: 0})
-        for step in range(1, 8):
-            counts += 10_000
-            action = throttle.observe(step * 1_000_000, {1: counts})
-        assert throttle.sample_every[1] == 8  # capped by max_sample_every
-        assert "saturated" in action
-
-    def test_relaxes_when_quiet(self):
-        push, throttle = self.make(target=1_000.0)
-        throttle.observe(0, {1: 0})
-        throttle.observe(1_000_000, {1: 10_000})  # overload → 1/2
-        action = throttle.observe(2_000_000, {1: 10_050})  # now quiet
-        assert action == "relax exs 1 -> 1/1"
-        assert (1, FilterSpec(sample_every=1)) in push.calls
-        assert throttle.sample_every == {}
-
-    def test_no_relax_without_active_sampling(self):
-        push, throttle = self.make(target=1_000.0)
-        throttle.observe(0, {1: 0})
-        assert throttle.observe(1_000_000, {1: 10}) == "hold"
-
-    def test_decision_log(self):
-        _, throttle = self.make()
-        throttle.observe(0, {1: 0})
-        throttle.observe(1_000_000, {1: 100})
-        assert len(throttle.decisions) == 1
-        now, rate, action = throttle.decisions[0]
-        assert rate == pytest.approx(100.0)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ThrottleConfig(target_rate_hz=0)
-        with pytest.raises(ValueError):
-            ThrottleConfig(low_water=1.5)
-        with pytest.raises(ValueError):
-            ThrottleConfig(max_sample_every=0)
