@@ -12,6 +12,11 @@ link) **plus** the sorter's effective frame; sweeping the initial frame
 with adaptation disabled shifts the distribution by exactly that frame,
 while the adaptive frame buys near-minimum latency at a bounded
 out-of-order rate.
+
+Those two studies pin the paper preset (``SorterConfig(frontier=False)``):
+they reproduce the pure time-frame sorter.  The third sets the default
+frontier release beside it on the same loaded deployment — the frame stops
+being latency every record pays and becomes the wait for a silent source.
 """
 
 import statistics
@@ -59,6 +64,7 @@ def test_latency_vs_fixed_sorting_frame(benchmark, report):
                 initial_frame_us=frame_ms * 1000,
                 growth_factor=1e-9,  # adaptation effectively off
                 decay_lambda=0.0,
+                frontier=False,
             )
             out[frame_ms] = run_loaded(sorter)
         return out
@@ -95,10 +101,16 @@ def test_adaptive_frame_finds_the_knee(benchmark, report):
                 initial_frame_us=1_000,
                 growth_signal="arrival",
                 decay_lambda=0.05,
+                frontier=False,
             )
         )
         floor = run_loaded(
-            SorterConfig(initial_frame_us=0, growth_factor=1e-9, decay_lambda=0.0)
+            SorterConfig(
+                initial_frame_us=0,
+                growth_factor=1e-9,
+                decay_lambda=0.0,
+                frontier=False,
+            )
         )
         return {"adaptive": adaptive, "no frame (floor)": floor}
 
@@ -119,3 +131,38 @@ def test_adaptive_frame_finds_the_knee(benchmark, report):
     assert adaptive["ooo_frac"] < floor["ooo_frac"] / 3
     # ...at a bounded latency premium over it.
     assert adaptive["p50_ms"] < floor["p50_ms"] + 60
+
+
+def test_latency_frontier_vs_paper_preset(benchmark, report):
+    """Same load, same 50 ms frame: released on the frontier, a record
+    waits for the slowest *other* source's next batch to pass it (set by
+    the 10 ms EXS poll here), not for T."""
+
+    def study():
+        return {
+            label: run_loaded(
+                SorterConfig(
+                    initial_frame_us=50_000,
+                    growth_factor=1e-9,
+                    decay_lambda=0.0,
+                    frontier=frontier,
+                )
+            )
+            for label, frontier in (("frontier", True), ("paper preset", False))
+        }
+
+    out = benchmark.pedantic(study, rounds=1, iterations=1)
+    rows = [
+        (
+            f"{label:<14}",
+            f"p50 {m['p50_ms']:7.2f} ms",
+            f"p99 {m['p99_ms']:7.2f} ms",
+            f"out-of-order {m['ooo_frac'] * 100:6.3f}%",
+        )
+        for label, m in out.items()
+    ]
+    report.table("release rule (T = 50 ms)  latency-p50  latency-p99  ordering", rows)
+    frontier, paper = out["frontier"], out["paper preset"]
+    assert frontier["p50_ms"] < paper["p50_ms"] / 2
+    assert frontier["p99_ms"] < paper["p99_ms"]
+    assert frontier["ooo_frac"] <= paper["ooo_frac"]

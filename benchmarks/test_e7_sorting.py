@@ -19,8 +19,15 @@ The sweep below varies the same four parameter families:
 Metrics per cell: out-of-order release fraction (ordering quality) and
 mean hold time in the sorter (added latency).  The paper's two findings
 are asserted at the bottom.
+
+Every cell runs the paper preset (``frontier=False``): E7 evaluates the
+time frame itself.  Its delayed streams keep per-source FIFO order, so the
+default frontier release orders them perfectly whatever ``T`` is (see the
+last row of ``examples/sorting_tuning.py``) and the four knobs would have
+nothing left to trade.
 """
 
+import dataclasses
 import random
 
 from repro.core.sorting import OnlineSorter, SorterConfig
@@ -28,7 +35,7 @@ from repro.sim.workload import make_delayed_streams, merge_by_arrival
 
 
 def run_sorter(config: SorterConfig, streams) -> dict:
-    sorter = OnlineSorter(config)
+    sorter = OnlineSorter(dataclasses.replace(config, frontier=False))
     merged = merge_by_arrival(streams)
     for source, record, arrival in merged:
         sorter.push(source, record, now=arrival)
@@ -202,7 +209,7 @@ def test_sorter_throughput(benchmark, report):
 
     def run():
         sorter = OnlineSorter(
-            SorterConfig(initial_frame_us=1_000, decay_lambda=0.05)
+            SorterConfig(initial_frame_us=1_000, decay_lambda=0.05, frontier=False)
         )
         for source, record, arrival in merged:
             sorter.push(source, record, now=arrival)

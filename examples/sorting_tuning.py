@@ -6,9 +6,15 @@ input) through the ISM's on-line sorter under different time-frame
 strategies, and prints the resulting out-of-order fraction versus the
 latency the sorter adds.  Use it to pick knobs for your own workload.
 
+The strategy rows pin the paper's pure time-frame sorter
+(``frontier=False``); the last row is the default, which releases a record
+as soon as every other source's frontier has passed it and keeps ``T`` for
+silent sources only — ordering no longer costs the frame.
+
 Run:  python examples/sorting_tuning.py
 """
 
+import dataclasses
 import random
 
 from repro.core.sorting import OnlineSorter, SorterConfig
@@ -62,6 +68,13 @@ def main() -> None:
             initial_frame_us=0, decay_lambda=0.0, growth_factor=1e-9
         ),
     }
+    strategies = {
+        label: dataclasses.replace(config, frontier=False)
+        for label, config in strategies.items()
+    }
+    strategies["default: frontier release, same huge frame"] = SorterConfig(
+        initial_frame_us=1_000_000, growth_factor=1.0, decay_lambda=0.0
+    )
 
     header = f"{'strategy':<55} {'out-of-order':>12} {'added latency':>14} {'final T':>9}"
     print(header)
@@ -71,7 +84,8 @@ def main() -> None:
         print(f"{label:<55} {ooo:>11.2f}% {hold_ms:>11.1f} ms {frame_ms:>7.1f} ms")
 
     print("\nreading the table: ordering quality costs delivery latency; the")
-    print("adaptive strategies find the knee automatically (paper, section 3.6)")
+    print("adaptive strategies find the knee automatically (paper, section 3.6);")
+    print("released on the frontier, the frame is paid only for silent sources")
 
 
 if __name__ == "__main__":

@@ -125,6 +125,12 @@ class InstrumentationManager:
         self._known_sources[exs_id] = node_id
         self.sorter.add_source(exs_id)
 
+    def retire_source(self, exs_id: int) -> None:
+        """Handle an EXS Bye: the source stops gating the sorter's frontier
+        once its queue drains.  A connection *lost* without Bye is not
+        retired — the source may resume and retransmit."""
+        self.sorter.retire_source(exs_id)
+
     @property
     def sources(self) -> dict[int, int]:
         """Registered sources, ``exs_id → node_id``."""
@@ -245,6 +251,10 @@ class InstrumentationManager:
         if timer is not None and ready:
             timer.stop(t0)
         return len(ready)
+
+    def next_deadline(self) -> int | None:
+        """ISM time by which :meth:`tick` must next run (None = idle)."""
+        return self.sorter.next_deadline()
 
     def flush(self, now: int) -> int:
         """Drain everything (shutdown): sorter, then parked CRE events."""

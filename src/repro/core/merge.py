@@ -35,9 +35,10 @@ first record) so pre-sorting never has to split or re-encode a batch.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Generic, Protocol, Sequence, TypeVar
+from typing import Collection, Generic, Mapping, Protocol, Sequence, Sized, TypeVar
 
 #: Sort key type mirrored from ``EventRecord.sort_key()``.
 _Key = tuple[int, int, int]
@@ -52,6 +53,34 @@ class SortKeyed(Protocol):
 
 
 ItemT = TypeVar("ItemT", bound=SortKeyed)
+
+
+def empty_floor(
+    queues: Mapping[int, Sized],
+    marks: Mapping[int, int | None],
+    closed: Collection[int],
+) -> float:
+    """The release bound imposed by open sources whose queue is empty.
+
+    Each queue is FIFO and its *mark* (a shard's declared watermark, a
+    sorter source's frontier) promises that nothing older will follow, so
+    the merge minimum is safe while it lies below the lowest mark among
+    the sources that have nothing queued to compete with it.  Returns that
+    minimum: ``-inf`` while such a source has declared no mark yet (it
+    could still hold the global minimum), ``+inf`` when every open source
+    has items queued and the heap alone arbitrates.  This one gate serves
+    :class:`OrderedMerger` and :class:`~repro.core.sorting.OnlineSorter`.
+    """
+    floor = math.inf
+    for source, queue in queues.items():
+        if queue or source in closed:
+            continue
+        mark = marks.get(source)
+        if mark is None:
+            return -math.inf
+        if mark < floor:
+            floor = mark
+    return floor
 
 
 @dataclass
@@ -161,36 +190,16 @@ class OrderedMerger(Generic[ItemT]):
         return low
 
     # ------------------------------------------------------------------
-    def _empty_gate(self) -> tuple[bool, int | None]:
-        """The release bound imposed by open shards with empty queues.
-
-        Returns ``(blocked, gate)``: *blocked* when some open, empty shard
-        has not declared a watermark yet (nothing may be released); else
-        *gate* is the minimum watermark over open empty shards, or None
-        when every open shard has queued records (no bound — the heap
-        itself arbitrates).
-        """
-        gate: int | None = None
-        for shard_id, queue in self._queues.items():
-            if queue or shard_id in self._closed:
-                continue
-            mark = self._watermarks[shard_id]
-            if mark is None:
-                return True, None
-            if gate is None or mark < gate:
-                gate = mark
-        return False, gate
-
     def emit(self) -> list[ItemT]:
         """Release every record that is safe under current watermarks, in
         merge order (oldest sort key first)."""
         released: list[ItemT] = []
         heap = self._heap
         queues = self._queues
-        blocked, gate = self._empty_gate()
-        while heap and not blocked:
+        floor = empty_floor(queues, self._watermarks, self._closed)
+        while heap:
             key, shard_id = heap[0]
-            if gate is not None and key[0] > gate:
+            if key[0] > floor:
                 break
             queue = queues[shard_id]
             record = queue.popleft()
@@ -201,7 +210,7 @@ class OrderedMerger(Generic[ItemT]):
                 heapq.heappop(heap)
                 # This shard's queue just drained: its watermark now
                 # gates further release.
-                blocked, gate = self._empty_gate()
+                floor = empty_floor(queues, self._watermarks, self._closed)
             self._account(record)
             released.append(record)
         return released

@@ -23,6 +23,16 @@ bound).
 A held-record bound reproduces the "event dropping" box of Figure 1: under
 overload the sorter force-releases the oldest records rather than letting
 ISM memory grow without bound.
+
+**Frontier release.**  Waiting ``T`` is only *necessary* for a silent
+source.  Each queue is FIFO, so the timestamp of the last record a source
+pushed — its *frontier* — promises that nothing older follows.  The heap
+minimum is released when its frame has expired (the paper's rule, tested
+first) **or** every other registered source has records queued or a
+frontier strictly above it (:func:`repro.core.merge.empty_floor`, the gate
+``OrderedMerger`` applies to shards).  ``T`` is then the wait for a source
+that has gone quiet; ``SorterConfig(frontier=False)`` is the paper's pure
+time-frame sorter.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+from repro.core.merge import empty_floor
 from repro.core.records import EventRecord
 from repro.util.stats import RunningStats
 
@@ -73,6 +84,10 @@ class SorterConfig:
         Bound on records parked in the sorter; beyond it the oldest are
         force-released ("event dropping" from Figure 1 — nothing is lost,
         but ordering may suffer).
+    frontier:
+        Release the heap minimum ahead of its frame once every other
+        source's frontier has passed it (module docstring).  ``False`` is
+        the paper preset: every record waits out ``T``.
     """
 
     initial_frame_us: int = 10_000
@@ -82,6 +97,7 @@ class SorterConfig:
     decay_lambda: float = 0.1
     max_held: int = 1_000_000
     growth_signal: str = "arrival"
+    frontier: bool = True
 
     def __post_init__(self) -> None:
         if self.initial_frame_us < 0 or self.min_frame_us < 0:
@@ -109,6 +125,11 @@ class SorterStats:
     out_of_order: int = 0
     #: Records force-released by the ``max_held`` bound.
     forced: int = 0
+    #: Records released ahead of their frame, on the frontier rule.
+    on_frontier: int = 0
+    #: Push calls that started below their own source's frontier (e.g. a
+    #: backward clock correction); passed through.
+    frontier_regressions: int = 0
     #: Distribution of time spent parked in the sorter (µs).
     hold_time_us: RunningStats = field(default_factory=RunningStats)
     #: Distribution of observed lateness at out-of-order extractions (µs).
@@ -142,6 +163,10 @@ class OnlineSorter:
         # gets the parked records retransmitted; this per-source count is
         # what lets it map "released so far" back onto batch seqs.
         self.released_by_source: dict[int, int] = {}
+        # exs_id → timestamp of the last record pushed.  Retired sources
+        # said goodbye: once drained they no longer gate the frontier.
+        self._frontier: dict[int, int] = {}
+        self._retired: set[int] = set()
         self._last_released_ts: int | None = None
         self._last_released_source: int | None = None
         self._last_decay_now: int | None = None
@@ -150,8 +175,15 @@ class OnlineSorter:
     # intake
     # ------------------------------------------------------------------
     def add_source(self, exs_id: int) -> None:
-        """Register a source queue (idempotent)."""
+        """Register a source queue (idempotent; un-retires a source that
+        came back)."""
         self._queues.setdefault(exs_id, deque())
+        self._retired.discard(exs_id)
+
+    def retire_source(self, exs_id: int) -> None:
+        """The source departed cleanly: once its queue drains it stops
+        gating the frontier.  :meth:`add_source` brings it back."""
+        self._retired.add(exs_id)
 
     @property
     def sources(self) -> tuple[int, ...]:
@@ -171,6 +203,9 @@ class OnlineSorter:
         queue.append((record, now))
         self._held += 1
         self.stats.pushed += 1
+        if record.timestamp < self._frontier.get(exs_id, record.timestamp):
+            self.stats.frontier_regressions += 1
+        self._frontier[exs_id] = record.timestamp
         if was_empty:
             heapq.heappush(self._heap, (record.sort_key(), exs_id))
         if (
@@ -215,6 +250,14 @@ class OnlineSorter:
         n = len(records)
         self._held += n
         self.stats.pushed += n
+        # The frontier follows the last timestamp pushed, down as well as
+        # up (after a backward clock correction the lower value is the
+        # promise the source can still keep); a call that starts below it
+        # is counted, not stalled.
+        first_ts = records[0].timestamp
+        if first_ts < self._frontier.get(exs_id, first_ts):
+            self.stats.frontier_regressions += 1
+        self._frontier[exs_id] = records[-1].timestamp
         if was_empty:
             heapq.heappush(self._heap, (records[0].sort_key(), exs_id))
         last_ts = self._last_released_ts
@@ -239,10 +282,14 @@ class OnlineSorter:
     # release
     # ------------------------------------------------------------------
     def extract(self, now: int) -> list[EventRecord]:
-        """Release every record whose time frame has expired, in merge order.
+        """Release every record that is due, in merge order.
 
-        Returns the released records, oldest timestamp first.  Also applies
-        the ``max_held`` overload bound and advances the decay of ``T``.
+        The heap minimum is due when its frame has expired or no open
+        source with an *empty* queue has a frontier at or below it.  The
+        frame test runs first, so a saturated stream never evaluates the
+        frontier; the floor is computed at most once per call and lowered
+        in O(1) when a queue drains mid-call.  Also applies the
+        ``max_held`` overload bound and advances the decay of ``T``.
 
         Heap maintenance is batch-aware: while a single source holds every
         parked record (the common single-stream case) due records drain
@@ -259,17 +306,33 @@ class OnlineSorter:
         max_held = self.config.max_held
         account = self._account_release
         overload = self._held > max_held
+        floor: float | None = None  # computed on first use
+        on_frontier = 0
         while heap:
             key, exs_id = heap[0]
             if not overload and now < key[0] + int(self.frame_us):
-                break
+                if floor is None:
+                    floor = self._silent_floor()
+                if key[0] >= floor:
+                    break
+                on_frontier += 1
             queue = queues[exs_id]
+            record, arrival = queue.popleft()
+            self._held -= 1
+            account(record, exs_id, arrival, now, forced=overload)
+            append(record)
+            if overload:
+                overload = self._held > max_held
             if len(heap) == 1:
                 # Single active source: its FIFO is the merge order.
                 while queue:
                     record, arrival = queue[0]
                     if not overload and now < record.timestamp + int(self.frame_us):
-                        break
+                        if floor is None:
+                            floor = self._silent_floor()
+                        if record.timestamp >= floor:
+                            break
+                        on_frontier += 1
                     queue.popleft()
                     self._held -= 1
                     account(record, exs_id, arrival, now, forced=overload)
@@ -278,20 +341,47 @@ class OnlineSorter:
                         overload = self._held > max_held
                 if queue:
                     heap[0] = (queue[0][0].sort_key(), exs_id)
-                else:
-                    heap.pop()
-                continue
-            record, arrival = queue.popleft()
-            self._held -= 1
-            if queue:
+                    continue
+                heap.pop()
+            elif queue:
                 heapq.heapreplace(heap, (queue[0][0].sort_key(), exs_id))
+                continue
             else:
                 heapq.heappop(heap)
-            account(record, exs_id, arrival, now, forced=overload)
-            append(record)
-            if overload:
-                overload = self._held > max_held
+            # This source's queue just drained: its frontier now gates.
+            if floor is not None and exs_id not in self._retired:
+                floor = min(floor, self._frontier[exs_id])
+        self.stats.on_frontier += on_frontier
         return released
+
+    def _silent_floor(self) -> float:
+        """The frontier release bound: nothing at or above it may leave
+        ahead of its frame (−∞ with the paper preset)."""
+        if not self.config.frontier:
+            return -math.inf
+        return empty_floor(self._queues, self._frontier, self._retired)
+
+    def next_deadline(self) -> int | None:
+        """ISM time at which the heap minimum's frame expires (None while
+        nothing is parked) — when an idle caller must next :meth:`extract`."""
+        if not self._heap:
+            return None
+        return self._heap[0][0][0] + int(self.frame_us)
+
+    def gating_source(self) -> int:
+        """The silent source the heap minimum is waiting on: the empty-
+        queue source with the lowest frontier at or below it (0 = none)."""
+        if not self._heap or not self.config.frontier:
+            return 0
+        ts, exs_id = min(
+            (
+                (self._frontier.get(exs_id, -math.inf), exs_id)
+                for exs_id, queue in self._queues.items()
+                if not queue and exs_id not in self._retired
+            ),
+            default=(math.inf, 0),
+        )
+        return exs_id if ts <= self._heap[0][0][0] else 0
 
     def extract_ready_batch(self, now: int) -> list[EventRecord]:
         """Alias for :meth:`extract` naming the staged-pipeline contract:

@@ -18,7 +18,8 @@ Metric namespace (the inventory DESIGN.md §5.6 documents):
 ``outbox.*``              in-flight (unacked) depth, acks, retransmits
 ``wire.*``                bytes and frames each way, reconnect counts
 ``ism.*``                 manager intake/delivery/dedup counters
-``sorter.*``              heap depth, adaptive time frame ``T``, disorder
+``sorter.*``              heap depth, time frame ``T``, disorder, release
+                          path (frontier/frame) and the gating source
 ``cre.*``                 table sizes, parked now, tachyons, timeouts
 ``consumer.*``            queue depth and delivered counts per sink
 ``relay.*``               relay tier coalesce/compress/fold accounting
@@ -111,6 +112,17 @@ def wire_sorter(registry: MetricsRegistry, sorter: Any, prefix: str = "sorter") 
     registry.gauge_fn(f"{prefix}.released", lambda: stats.released)
     registry.gauge_fn(f"{prefix}.out_of_order", lambda: stats.out_of_order)
     registry.gauge_fn(f"{prefix}.forced", lambda: stats.forced)
+    # Release path: a rising frame share means a source went quiet, and
+    # gating_source names it.
+    registry.gauge_fn(f"{prefix}.released_on_frontier", lambda: stats.on_frontier)
+    registry.gauge_fn(
+        f"{prefix}.released_on_frame",
+        lambda: stats.released - stats.on_frontier - stats.forced,
+    )
+    registry.gauge_fn(
+        f"{prefix}.frontier_regressions", lambda: stats.frontier_regressions
+    )
+    registry.gauge_fn(f"{prefix}.gating_source", sorter.gating_source)
     registry.gauge_fn(
         f"{prefix}.mean_hold_us", lambda: stats.hold_time_us.mean
     )

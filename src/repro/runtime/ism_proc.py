@@ -352,7 +352,7 @@ class IsmServer(_IsmFront):
         connection's payloads in arrival order, then send the acks."""
         now = None
         conn_node = self._conn_node
-        for conn, payloads in self.plane.pump(0.005):
+        for conn, payloads in self.plane.pump(self._pump_timeout()):
             if now is None:
                 now = now_micros()  # once per cycle, after the select wait
             # Messages a blocking probe already decoded come first so the
@@ -376,6 +376,17 @@ class IsmServer(_IsmFront):
         # after the tick instead.
         if self._ack_gate is None:
             self.plane.flush_acks()
+
+    def _pump_timeout(self) -> float:
+        """How long the pump may sleep in select: to the one timer left in
+        the release path — the oldest parked record's frame deadline (it
+        waits on a silent source) — capped at the 5 ms housekeeping tick
+        and floored at 1 ms, so a stream waiting out T record by record
+        costs at most 1 000 wake-ups a second."""
+        deadline = self.manager.next_deadline()
+        if deadline is None:
+            return 0.005
+        return min(0.005, max(0.001, (deadline - now_micros()) / 1e6))
 
     def _flush_durable_acks(self) -> None:
         """Durable-mode ack path: advance the gate over fully-released
@@ -460,6 +471,11 @@ class IsmServer(_IsmFront):
                 self._conn_node[conn] = 0
             return
         if isinstance(msg, protocol.Bye):
+            # A clean goodbye retires the sources still bound to this
+            # socket; a connection lost without one keeps its frontier.
+            for exs_id in self.plane.sources_on(conn):
+                if self.connections.get(exs_id) is conn:
+                    self.manager.retire_source(exs_id)
             self.plane.drop(conn)
             return
         self.dispatch(msg, now)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+import re
 import time
+from pathlib import Path
 from typing import Any, Callable
 
 import pytest
@@ -49,6 +51,17 @@ def wait_until(
                 message or f"condition not met within {timeout}s: {predicate}"
             )
         time.sleep(interval)
+
+
+def doc_json_block(marker: str, doc: str = "docs/monitor-spec.md") -> str:
+    """The fenced JSON block after ``<!-- marker -->`` in a repo document:
+    tests run the specs the docs print, not copies of them."""
+    text = (Path(__file__).resolve().parents[1] / doc).read_text(encoding="utf-8")
+    match = re.search(
+        rf"<!-- {re.escape(marker)} -->\n```json\n(.*?)\n```", text, re.DOTALL
+    )
+    assert match, f"{marker!r} block missing from {doc}"
+    return match.group(1)
 
 
 def make_record(

@@ -20,6 +20,7 @@ from repro.runtime.ism_proc import IsmServer, ShardedIsmServer
 from repro.runtime.plane import PLANE_CAPS, ConnectionPlane
 from repro.runtime.relay_proc import RelayConfig, RelayServer
 from repro.wire import protocol
+from repro.util.timebase import now_micros
 from repro.wire.tcp import ConnectionClosed, MessageListener, connect
 
 
@@ -355,3 +356,70 @@ def test_scripted_peer_sees_the_same_exchange_from_every_tier(kind):
         for peer in peers:
             peer.close()
         tier.close()
+
+
+# ----------------------------------------------------------------------
+# Bye retires a source from the sorter's frontier; a lost socket does not
+# ----------------------------------------------------------------------
+def test_bye_retires_a_source_from_the_frontier_and_loss_does_not():
+    listener = MessageListener()
+    sink = CollectingConsumer()
+    # A frame that never expires in this test: only the frontier releases.
+    config = IsmConfig(
+        sorter=SorterConfig(initial_frame_us=600_000_000, decay_lambda=0.0)
+    )
+    server = IsmServer(InstrumentationManager(config, [sink]), listener)
+    sorter = server.manager.sorter
+    thread = threading.Thread(target=server.serve, daemon=True)
+    thread.start()
+    peers = []
+    seqs = {1: 0, 2: 0}
+
+    def dial(exs_id: int):
+        peers.append(connect(*listener.address))
+        peers[-1].send(hello(exs_id, wants_ack=False))
+        wait_until(lambda: server.connections.get(exs_id) is not None, timeout=10.0)
+        return peers[-1]
+
+    def send(conn, exs_id: int, timestamp: int) -> None:
+        record = make_record(event_id=exs_id, node_id=exs_id, timestamp=timestamp)
+        conn.send(protocol.Batch(exs_id=exs_id, seq=seqs[exs_id], records=(record,)))
+        seqs[exs_id] += 1
+
+    def delivered() -> list[int]:
+        return [r.timestamp for r in sink.records]
+
+    try:
+        t0 = now_micros()
+        one, two = dial(1), dial(2)
+        # Source 2 is registered and silent: source 1's record waits on it.
+        send(one, 1, t0 + 10)
+        wait_until(lambda: sorter.held == 1 and sorter.gating_source() == 2)
+        assert delivered() == []
+        # A clean goodbye retires it, and the wait is over.
+        two.send(protocol.Bye(reason="done"))
+        wait_until(lambda: delivered() == [t0 + 10], timeout=10.0)
+        # A re-Hello brings it back into the gate ...
+        two = dial(2)
+        send(one, 1, t0 + 30)
+        wait_until(lambda: sorter.held == 1 and sorter.gating_source() == 2)
+        # ... until its frontier passes the record.
+        send(two, 2, t0 + 40)
+        wait_until(lambda: delivered() == [t0 + 10, t0 + 30], timeout=10.0)
+        send(one, 1, t0 + 50)
+        wait_until(lambda: delivered()[-1] == t0 + 40, timeout=10.0)
+        # A connection lost without Bye keeps its frozen frontier (the
+        # source may resume and retransmit): the time frame still applies.
+        two.close()
+        wait_until(lambda: 2 not in server.connections, timeout=10.0)
+        send(one, 1, t0 + 60)
+        wait_until(lambda: sorter.held == 2 and sorter.gating_source() == 2)
+        assert delivered() == [t0 + 10, t0 + 30, t0 + 40]
+    finally:
+        for peer in peers:
+            peer.close()
+        server.stop()
+        thread.join(timeout=30)
+        listener.close()
+    # Shutdown flushes what the lost source was still holding back.
+    assert delivered() == [t0 + 10, t0 + 30, t0 + 40, t0 + 50, t0 + 60]

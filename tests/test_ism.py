@@ -85,6 +85,7 @@ class TestPipeline:
     def test_tick_respects_time_frame(self):
         mgr, consumer = manager(initial_frame_us=1000, decay_lambda=0.0)
         mgr.register_source(1, 1)
+        mgr.register_source(2, 2)  # silent peer: the frame is the wait for it
         mgr.on_batch(batch(1, 0, [make_record(timestamp=500)]), now=500)
         assert mgr.tick(now=1_000) == 0
         assert mgr.tick(now=1_501) == 1

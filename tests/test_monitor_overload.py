@@ -8,13 +8,11 @@ detail once the flood stops.  The spec is the preset documented in
 cannot drift from what runs.
 """
 
-import re
 import threading
 import time
-from pathlib import Path
 
 import pytest
-from tests.conftest import wait_until
+from tests.conftest import doc_json_block, wait_until
 
 from repro.clocksync.clocks import CorrectedClock
 from repro.core.consumers import CollectingConsumer
@@ -30,17 +28,8 @@ from repro.runtime.ism_proc import ShardedIsmServer
 from repro.util.timebase import now_micros
 from repro.wire.tcp import MessageListener, connect
 
-DOC = Path(__file__).resolve().parents[1] / "docs" / "monitor-spec.md"
-
-
 def preset_spec() -> MonitorSpec:
-    match = re.search(
-        r"<!-- preset: overload-shedding -->\n```json\n(.*?)\n```",
-        DOC.read_text(encoding="utf-8"),
-        re.DOTALL,
-    )
-    assert match, "overload-shedding preset block missing from the doc"
-    return MonitorSpec.from_json(match.group(1))
+    return MonitorSpec.from_json(doc_json_block("preset: overload-shedding"))
 
 
 def make_server(kind: str, listener: MessageListener, collected):

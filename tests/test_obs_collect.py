@@ -51,6 +51,32 @@ class TestCollectWiring:
         assert snap.get("wire.connections") == 0.0
         assert snap.get("outbox.unacked") == 0.0
 
+    def test_wire_sorter_splits_releases_by_path_and_names_the_gate(self):
+        from tests.conftest import make_record
+
+        from repro.core.sorting import OnlineSorter, SorterConfig
+        from repro.obs.render import render_snapshot
+
+        sorter = OnlineSorter(SorterConfig(initial_frame_us=100, decay_lambda=0.0))
+        registry = MetricsRegistry()
+        collect.wire_sorter(registry, sorter)
+        sorter.add_source(7)  # registered, silent
+        sorter.push(1, make_record(timestamp=10), now=10)
+        sorter.extract(now=20)
+        assert registry.snapshot().get("sorter.gating_source") == 7.0
+        sorter.extract(now=110)  # waited out the frame
+        sorter.push(7, make_record(timestamp=200), now=200)
+        sorter.push(1, make_record(timestamp=150), now=201)
+        sorter.push(1, make_record(timestamp=140), now=202)  # stepped back
+        sorter.extract(now=203)  # 150, 140: 7's frontier has passed them
+        snap = registry.snapshot()
+        assert snap.get("sorter.released_on_frame") == 1.0
+        assert snap.get("sorter.released_on_frontier") == 2.0
+        assert snap.get("sorter.frontier_regressions") == 1.0
+        assert snap.get("sorter.gating_source") == 1.0  # 200 waits on 1
+        table = render_snapshot(snap)
+        assert "released_on_frontier" in table and "gating_source" in table
+
     def test_dead_gauge_is_skipped_not_fatal(self):
         registry = MetricsRegistry()
 

@@ -84,19 +84,23 @@ _sorter_ops = st.lists(
 )
 
 
+@pytest.mark.property
+@pytest.mark.parametrize("frontier", [True, False])
 @pytest.mark.parametrize("growth_signal", ["arrival", "watermark"])
 @pytest.mark.parametrize("max_held", [4, 100_000])
 @settings(max_examples=50, deadline=None)
 @given(ops=_sorter_ops)
 def test_push_many_extract_equivalent_to_per_record(
-    growth_signal: str, max_held: int, ops
+    frontier: bool, growth_signal: str, max_held: int, ops
 ) -> None:
-    """Same releases, same adapted frame, same stats — any interleaving."""
+    """Same releases, same adapted frame, same stats — any interleaving,
+    released on the frontier or on the frame alone."""
     config = SorterConfig(
         initial_frame_us=10_000,
         growth_signal=growth_signal,
         max_held=max_held,
         decay_lambda=0.5,
+        frontier=frontier,
     )
     per_record = OnlineSorter(config)
     batched = OnlineSorter(config)
@@ -119,7 +123,7 @@ def test_push_many_extract_equivalent_to_per_record(
         assert per_record.frame_us == batched.frame_us
         assert per_record.held == batched.held
     assert per_record.flush(now) == batched.flush(now)
-    for attr in ("pushed", "released", "forced", "out_of_order"):
+    for attr in ("pushed", "released", "forced", "out_of_order", "on_frontier"):
         assert getattr(per_record.stats, attr) == getattr(batched.stats, attr)
 
 

@@ -175,3 +175,24 @@ class TestExsIsmLoop:
         assert manager.sources == {9: 9}
         client.close()
         listener.close()
+
+    def test_pump_sleeps_to_the_next_frame_deadline(self):
+        config = IsmConfig(sorter=SorterConfig(initial_frame_us=3_000, decay_lambda=0.0))
+        manager = InstrumentationManager(config, [CollectingConsumer()])
+        listener = MessageListener()
+        server = IsmServer(manager, listener)
+        try:
+            assert server._pump_timeout() == 0.005  # nothing parked: the tick
+            manager.register_source(1, 1)
+            manager.register_source(2, 2)  # silent: 1's record waits out T
+            now = now_micros()
+            record = make_record(timestamp=now, node_id=1)
+            manager.on_batch(protocol.Batch(exs_id=1, seq=0, records=(record,)), now)
+            assert manager.tick(now) == 0
+            assert manager.next_deadline() == now + 3_000
+            assert 0.001 <= server._pump_timeout() <= 0.003
+            # An overdue deadline still sleeps the 1 ms floor (no spinning).
+            manager.sorter.frame_us = 0.0
+            assert server._pump_timeout() == 0.001
+        finally:
+            listener.close()

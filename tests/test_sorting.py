@@ -22,6 +22,7 @@ class TestMerge:
 
     def test_release_respects_time_frame(self):
         sorter = OnlineSorter(SorterConfig(initial_frame_us=100, decay_lambda=0.0))
+        sorter.add_source(9)  # a silent peer: T is the wait for *it*
         sorter.push(1, make_record(timestamp=50), now=50)
         assert sorter.extract(now=149) == []  # 50 + 100 > 149
         assert len(sorter.extract(now=150)) == 1
@@ -145,10 +146,102 @@ class TestAdaptiveFrame:
         assert sorter.stats.lateness_us.mean == pytest.approx(30.0)
 
 
+class TestFrontierRelease:
+    """Release on the frontier, hold only for the silent (§5.2)."""
+
+    FOREVER = SorterConfig(initial_frame_us=10**9, decay_lambda=0.0)
+
+    def test_released_once_every_other_source_has_passed(self):
+        sorter = OnlineSorter(self.FOREVER)
+        sorter.push(1, make_record(timestamp=100), now=100)
+        sorter.push(2, make_record(timestamp=90), now=101)
+        # Both queued: the heap arbitrates, and 2's queue draining leaves
+        # its frontier (90) as the floor for 1's record.
+        assert [r.timestamp for r in sorter.extract(now=102)] == [90]
+        assert sorter.gating_source() == 2
+        sorter.push(2, make_record(timestamp=101), now=103)
+        assert [r.timestamp for r in sorter.extract(now=104)] == [100]
+        assert sorter.gating_source() == 1  # now 2's record waits on 1
+        assert sorter.stats.on_frontier == 2
+        assert sorter.stats.out_of_order == 0
+
+    def test_frontier_must_be_strictly_above(self):
+        # A source whose last record was at t may still send another at t
+        # with a lower tie-break key, so an equal frontier does not release.
+        sorter = OnlineSorter(self.FOREVER)
+        sorter.push(2, make_record(timestamp=100, event_id=5), now=100)
+        sorter.push(1, make_record(timestamp=100, event_id=1), now=100)
+        assert [r.event_id for r in sorter.extract(now=101)] == [1]
+        assert sorter.held == 1
+        sorter.push(1, make_record(timestamp=101), now=102)
+        assert [r.event_id for r in sorter.extract(now=103)] == [5]
+
+    def test_registered_source_that_never_spoke_gates_until_the_frame(self):
+        sorter = OnlineSorter(SorterConfig(initial_frame_us=100, decay_lambda=0.0))
+        sorter.add_source(2)
+        sorter.push(1, make_record(timestamp=50), now=50)
+        assert sorter.extract(now=60) == []
+        assert sorter.gating_source() == 2
+        assert sorter.next_deadline() == 150
+        assert len(sorter.extract(now=150)) == 1
+        assert sorter.stats.on_frontier == 0
+        assert sorter.next_deadline() is None and sorter.gating_source() == 0
+
+    def test_single_source_releases_on_push(self):
+        sorter = OnlineSorter(self.FOREVER)
+        sorter.push_many(1, [make_record(timestamp=t) for t in (5, 6, 7)], now=7)
+        assert [r.timestamp for r in sorter.extract(now=7)] == [5, 6, 7]
+        assert sorter.stats.on_frontier == 3
+
+    def test_retired_source_stops_gating_once_its_queue_drains(self):
+        sorter = OnlineSorter(self.FOREVER)
+        sorter.push(2, make_record(timestamp=10), now=10)
+        sorter.push(2, make_record(timestamp=200), now=11)
+        sorter.push(1, make_record(timestamp=100), now=12)
+        sorter.retire_source(2)  # said goodbye; its queued records still merge
+        assert [r.timestamp for r in sorter.extract(now=13)] == [10, 100]
+        assert sorter.held == 1  # 2's own tail waits on 1's frontier (100)
+        sorter.push(1, make_record(timestamp=300), now=14)
+        assert [r.timestamp for r in sorter.extract(now=15)] == [200, 300]
+        assert sorter.stats.out_of_order == 0
+
+    def test_rehello_brings_a_retired_source_back_into_the_gate(self):
+        sorter = OnlineSorter(self.FOREVER)
+        sorter.push(2, make_record(timestamp=10), now=10)
+        sorter.extract(now=10)
+        sorter.retire_source(2)
+        sorter.add_source(2)  # re-Hello
+        sorter.push(1, make_record(timestamp=100), now=100)
+        assert sorter.extract(now=101) == []  # 2's frozen frontier is 10
+        assert sorter.gating_source() == 2
+
+    def test_regression_below_own_frontier_is_counted_not_stalled(self):
+        sorter = OnlineSorter(self.FOREVER)
+        sorter.push(1, make_record(timestamp=100), now=100)
+        sorter.push(2, make_record(timestamp=50), now=100)
+        sorter.extract(now=100)  # releases 50; 1's record waits on 2
+        sorter.push(2, make_record(timestamp=40), now=101)  # clock stepped back
+        assert sorter.stats.frontier_regressions == 1
+        assert [r.timestamp for r in sorter.extract(now=101)] == [40]
+        # The frontier followed the source down: 100 still waits on it.
+        assert sorter.held == 1 and sorter.gating_source() == 2
+
+    def test_paper_preset_waits_out_the_frame(self):
+        config = SorterConfig(initial_frame_us=100, decay_lambda=0.0, frontier=False)
+        sorter = OnlineSorter(config)
+        sorter.push(1, make_record(timestamp=50), now=50)
+        sorter.push(2, make_record(timestamp=60), now=60)
+        assert sorter.extract(now=149) == []
+        assert sorter.gating_source() == 0
+        assert [r.timestamp for r in sorter.extract(now=160)] == [50, 60]
+        assert sorter.stats.on_frontier == 0
+
+
 class TestOverloadBound:
     def test_force_release_over_max_held(self):
         config = SorterConfig(initial_frame_us=10**7, max_held=10)
         sorter = OnlineSorter(config)
+        sorter.add_source(9)  # silent peer: only the bound releases
         for i in range(25):
             sorter.push(1, make_record(timestamp=i), now=i)
         out = sorter.extract(now=30)
@@ -214,6 +307,7 @@ class TestHeldCounter:
         # Frame far in the future: nothing releases except under overload.
         config = SorterConfig(initial_frame_us=10**9, max_held=5)
         sorter = OnlineSorter(config)
+        sorter.add_source(9)  # silent peer: the frontier never passes
         for i in range(5):
             sorter.push(1, make_record(timestamp=i), now=i)
         # Exactly at the bound: no force release.

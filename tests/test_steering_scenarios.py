@@ -15,8 +15,14 @@ Covered end to end:
   record within the spec'd detection budget of virtual time;
 * **anomaly-triggered full-fidelity capture** — a deployment running
   sampled-down restores ``sample_every=1`` the moment an anomaly event
-  appears, and the full-rate burst lands in the durable commit log.
+  appears, and the full-rate burst lands in the durable commit log;
+* **silent source** — the documented rule on the sorter's frame-path
+  release count alerts when a registered source stops talking, and stays
+  quiet while every source streams.
 """
+
+import pytest
+from tests.conftest import doc_json_block
 
 from repro.core.consumers import CollectingConsumer, LogConsumer
 from repro.core.filtering import FilterSpec
@@ -283,3 +289,32 @@ class TestAnomalyFullFidelityCapture:
         assert len(logged_alerts) == 1
         assert logged_alerts[0].values[0] == "capture"
         log.close()
+
+
+# ----------------------------------------------------------------------
+# the documented silent-source rule (docs/monitor-spec.md)
+# ----------------------------------------------------------------------
+def silent_source_spec() -> MonitorSpec:
+    return MonitorSpec.from_json(doc_json_block("example: silent-source"))
+
+
+@pytest.mark.parametrize("silent", [True, False])
+def test_silent_source_rule_fires_only_when_a_source_goes_quiet(silent):
+    rates = {1: 100.0} if silent else {1: 100.0, 2: 100.0}
+    sim, dep, collector = build(
+        n_nodes=2,
+        rates_hz=rates,
+        monitor=silent_source_spec(),
+        metrics_interval_us=250_000,
+    )
+    dep.run(4.0)
+    sorter = dep.ism.sorter
+    alerts = [r for r in collector.records if r.event_id == ALERT_EVENT_ID]
+    if silent:
+        # Node 2 said Hello and never spoke: node 1's records wait out T.
+        assert sorter.gating_source() in (0, dep.nodes[1].exs.exs_id)
+        assert sorter.stats.on_frontier == 0
+        assert [a.values[0] for a in alerts] == ["silent-source"]
+    else:
+        assert sorter.stats.on_frontier > 0.9 * sorter.stats.released
+        assert alerts == []
