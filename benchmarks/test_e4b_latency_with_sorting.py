@@ -13,10 +13,11 @@ with adaptation disabled shifts the distribution by exactly that frame,
 while the adaptive frame buys near-minimum latency at a bounded
 out-of-order rate.
 
-Those two studies pin the paper preset (``SorterConfig(frontier=False)``):
-they reproduce the pure time-frame sorter.  The third sets the default
-frontier release beside it on the same loaded deployment — the frame stops
-being latency every record pays and becomes the wait for a silent source.
+Those two studies run the paper's pure time-frame sorter: a registered
+source that never speaks (``SILENT_EXS``) keeps every record waiting out
+``T``.  The third sets the default frontier release beside it on the same
+loaded deployment — the frame stops being latency every record pays and
+becomes the wait for a silent source.
 """
 
 import statistics
@@ -30,7 +31,12 @@ from repro.sim.engine import Simulator
 from repro.sim.workload import PoissonWorkload
 
 
-def run_loaded(sorter: SorterConfig, seed: int = 11) -> dict:
+#: Registered but never sends: the frontier can pass nothing, which is
+#: the paper's time-frame sorter.
+SILENT_EXS = 99
+
+
+def run_loaded(sorter: SorterConfig, seed: int = 11, paper: bool = True) -> dict:
     sim = Simulator(seed=seed)
     config = DeploymentConfig(
         exs_poll_interval_us=10_000,
@@ -40,6 +46,8 @@ def run_loaded(sorter: SorterConfig, seed: int = 11) -> dict:
         track_latency=True,
     )
     dep = SimDeployment(sim, config, [CollectingConsumer()])
+    if paper:
+        dep.ism.register_source(SILENT_EXS, SILENT_EXS)
     for node in dep.add_nodes(4, max_offset_us=1_000, max_drift_ppm=5):
         dep.attach_workload(node, PoissonWorkload(rate_hz=500))
     dep.run(10.0)
@@ -64,7 +72,6 @@ def test_latency_vs_fixed_sorting_frame(benchmark, report):
                 initial_frame_us=frame_ms * 1000,
                 growth_factor=1e-9,  # adaptation effectively off
                 decay_lambda=0.0,
-                frontier=False,
             )
             out[frame_ms] = run_loaded(sorter)
         return out
@@ -101,7 +108,6 @@ def test_adaptive_frame_finds_the_knee(benchmark, report):
                 initial_frame_us=1_000,
                 growth_signal="arrival",
                 decay_lambda=0.05,
-                frontier=False,
             )
         )
         floor = run_loaded(
@@ -109,7 +115,6 @@ def test_adaptive_frame_finds_the_knee(benchmark, report):
                 initial_frame_us=0,
                 growth_factor=1e-9,
                 decay_lambda=0.0,
-                frontier=False,
             )
         )
         return {"adaptive": adaptive, "no frame (floor)": floor}
@@ -145,10 +150,10 @@ def test_latency_frontier_vs_paper_preset(benchmark, report):
                     initial_frame_us=50_000,
                     growth_factor=1e-9,
                     decay_lambda=0.0,
-                    frontier=frontier,
-                )
+                ),
+                paper=paper,
             )
-            for label, frontier in (("frontier", True), ("paper preset", False))
+            for label, paper in (("frontier", False), ("paper preset", True))
         }
 
     out = benchmark.pedantic(study, rounds=1, iterations=1)

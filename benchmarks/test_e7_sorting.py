@@ -20,22 +20,27 @@ Metrics per cell: out-of-order release fraction (ordering quality) and
 mean hold time in the sorter (added latency).  The paper's two findings
 are asserted at the bottom.
 
-Every cell runs the paper preset (``frontier=False``): E7 evaluates the
+Every cell runs the paper's pure time-frame sorter (a registered source
+that never speaks keeps every record waiting out ``T``): E7 evaluates the
 time frame itself.  Its delayed streams keep per-source FIFO order, so the
 default frontier release orders them perfectly whatever ``T`` is (see the
 last row of ``examples/sorting_tuning.py``) and the four knobs would have
 nothing left to trade.
 """
 
-import dataclasses
 import random
 
 from repro.core.sorting import OnlineSorter, SorterConfig
 from repro.sim.workload import make_delayed_streams, merge_by_arrival
 
 
+#: Registered but never pushes: the frontier can pass nothing.
+SILENT = 99
+
+
 def run_sorter(config: SorterConfig, streams) -> dict:
-    sorter = OnlineSorter(dataclasses.replace(config, frontier=False))
+    sorter = OnlineSorter(config)
+    sorter.add_source(SILENT)
     merged = merge_by_arrival(streams)
     for source, record, arrival in merged:
         sorter.push(source, record, now=arrival)
@@ -208,9 +213,8 @@ def test_sorter_throughput(benchmark, report):
     merged = merge_by_arrival(streams)
 
     def run():
-        sorter = OnlineSorter(
-            SorterConfig(initial_frame_us=1_000, decay_lambda=0.05, frontier=False)
-        )
+        sorter = OnlineSorter(SorterConfig(initial_frame_us=1_000, decay_lambda=0.05))
+        sorter.add_source(SILENT)
         for source, record, arrival in merged:
             sorter.push(source, record, now=arrival)
             sorter.extract(now=arrival)

@@ -6,23 +6,27 @@ input) through the ISM's on-line sorter under different time-frame
 strategies, and prints the resulting out-of-order fraction versus the
 latency the sorter adds.  Use it to pick knobs for your own workload.
 
-The strategy rows pin the paper's pure time-frame sorter
-(``frontier=False``); the last row is the default, which releases a record
-as soon as every other source's frontier has passed it and keeps ``T`` for
-silent sources only — ordering no longer costs the frame.
+The strategy rows run the paper's pure time-frame sorter (a registered
+source that never speaks keeps every record waiting out ``T``); the last
+row is the default, which releases a record as soon as every other source's
+frontier has passed it and keeps ``T`` for silent sources only — ordering
+no longer costs the frame.
 
 Run:  python examples/sorting_tuning.py
 """
 
-import dataclasses
 import random
 
 from repro.core.sorting import OnlineSorter, SorterConfig
 from repro.sim.workload import make_delayed_streams, merge_by_arrival
 
 
-def evaluate(config: SorterConfig, streams) -> tuple[float, float, float]:
+def evaluate(
+    config: SorterConfig, streams, paper: bool = True
+) -> tuple[float, float, float]:
     sorter = OnlineSorter(config)
+    if paper:
+        sorter.add_source(99)  # never pushes: the frontier passes nothing
     merged = merge_by_arrival(streams)
     for source, record, arrival in merged:
         sorter.push(source, record, now=arrival)
@@ -68,11 +72,8 @@ def main() -> None:
             initial_frame_us=0, decay_lambda=0.0, growth_factor=1e-9
         ),
     }
-    strategies = {
-        label: dataclasses.replace(config, frontier=False)
-        for label, config in strategies.items()
-    }
-    strategies["default: frontier release, same huge frame"] = SorterConfig(
+    frontier_label = "default: frontier release, same huge frame"
+    strategies[frontier_label] = SorterConfig(
         initial_frame_us=1_000_000, growth_factor=1.0, decay_lambda=0.0
     )
 
@@ -80,7 +81,9 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for label, config in strategies.items():
-        ooo, hold_ms, frame_ms = evaluate(config, streams)
+        ooo, hold_ms, frame_ms = evaluate(
+            config, streams, paper=label != frontier_label
+        )
         print(f"{label:<55} {ooo:>11.2f}% {hold_ms:>11.1f} ms {frame_ms:>7.1f} ms")
 
     print("\nreading the table: ordering quality costs delivery latency; the")

@@ -59,28 +59,30 @@ def empty_floor(
     queues: Mapping[int, Sized],
     marks: Mapping[int, int | None],
     closed: Collection[int],
-) -> float:
-    """The release bound imposed by open sources whose queue is empty.
+) -> tuple[float, int]:
+    """The release bound imposed by open sources whose queue is empty,
+    and the source that imposes it.
 
     Each queue is FIFO and its *mark* (a shard's declared watermark, a
     sorter source's frontier) promises that nothing older will follow, so
     the merge minimum is safe while it lies below the lowest mark among
     the sources that have nothing queued to compete with it.  Returns that
     minimum: ``-inf`` while such a source has declared no mark yet (it
-    could still hold the global minimum), ``+inf`` when every open source
-    has items queued and the heap alone arbitrates.  This one gate serves
-    :class:`OrderedMerger` and :class:`~repro.core.sorting.OnlineSorter`.
+    could still hold the global minimum), ``+inf`` (and source 0) when
+    every open source has items queued and the heap alone arbitrates.
+    This one gate serves :class:`OrderedMerger` and
+    :class:`~repro.core.sorting.OnlineSorter`.
     """
-    floor = math.inf
+    floor, gate = math.inf, 0
     for source, queue in queues.items():
         if queue or source in closed:
             continue
         mark = marks.get(source)
         if mark is None:
-            return -math.inf
+            return -math.inf, source
         if mark < floor:
-            floor = mark
-    return floor
+            floor, gate = mark, source
+    return floor, gate
 
 
 @dataclass
@@ -196,7 +198,7 @@ class OrderedMerger(Generic[ItemT]):
         released: list[ItemT] = []
         heap = self._heap
         queues = self._queues
-        floor = empty_floor(queues, self._watermarks, self._closed)
+        floor = empty_floor(queues, self._watermarks, self._closed)[0]
         while heap:
             key, shard_id = heap[0]
             if key[0] > floor:
@@ -210,7 +212,7 @@ class OrderedMerger(Generic[ItemT]):
                 heapq.heappop(heap)
                 # This shard's queue just drained: its watermark now
                 # gates further release.
-                floor = empty_floor(queues, self._watermarks, self._closed)
+                floor = empty_floor(queues, self._watermarks, self._closed)[0]
             self._account(record)
             released.append(record)
         return released

@@ -31,8 +31,9 @@ minimum is released when its frame has expired (the paper's rule, tested
 first) **or** every other registered source has records queued or a
 frontier strictly above it (:func:`repro.core.merge.empty_floor`, the gate
 ``OrderedMerger`` applies to shards).  ``T`` is then the wait for a source
-that has gone quiet; ``SorterConfig(frontier=False)`` is the paper's pure
-time-frame sorter.
+that has gone quiet.  A source registered with :meth:`OnlineSorter.add_source`
+that never pushes is silent forever: every record then waits out ``T``,
+which is the paper's pure time-frame sorter (E4b and E7 run it that way).
 """
 
 from __future__ import annotations
@@ -84,10 +85,6 @@ class SorterConfig:
         Bound on records parked in the sorter; beyond it the oldest are
         force-released ("event dropping" from Figure 1 — nothing is lost,
         but ordering may suffer).
-    frontier:
-        Release the heap minimum ahead of its frame once every other
-        source's frontier has passed it (module docstring).  ``False`` is
-        the paper preset: every record waits out ``T``.
     """
 
     initial_frame_us: int = 10_000
@@ -97,7 +94,6 @@ class SorterConfig:
     decay_lambda: float = 0.1
     max_held: int = 1_000_000
     growth_signal: str = "arrival"
-    frontier: bool = True
 
     def __post_init__(self) -> None:
         if self.initial_frame_us < 0 or self.min_frame_us < 0:
@@ -127,9 +123,11 @@ class SorterStats:
     forced: int = 0
     #: Records released ahead of their frame, on the frontier rule.
     on_frontier: int = 0
-    #: Push calls that started below their own source's frontier (e.g. a
-    #: backward clock correction); passed through.
+    #: Records pushed below their own source's frontier (e.g. a backward
+    #: clock correction); passed through.
     frontier_regressions: int = 0
+    #: Records released by :meth:`OnlineSorter.flush` (shutdown).
+    flushed: int = 0
     #: Distribution of time spent parked in the sorter (µs).
     hold_time_us: RunningStats = field(default_factory=RunningStats)
     #: Distribution of observed lateness at out-of-order extractions (µs).
@@ -252,12 +250,16 @@ class OnlineSorter:
         self.stats.pushed += n
         # The frontier follows the last timestamp pushed, down as well as
         # up (after a backward clock correction the lower value is the
-        # promise the source can still keep); a call that starts below it
-        # is counted, not stalled.
-        first_ts = records[0].timestamp
-        if first_ts < self._frontier.get(exs_id, first_ts):
-            self.stats.frontier_regressions += 1
-        self._frontier[exs_id] = records[-1].timestamp
+        # promise the source can still keep); a record below it is
+        # counted, not stalled.
+        stamps = [record.timestamp for record in records]
+        prev = self._frontier.get(exs_id, stamps[0])
+        if stamps[0] < prev or stamps != sorted(stamps):
+            for ts in stamps:
+                if ts < prev:
+                    self.stats.frontier_regressions += 1
+                prev = ts
+        self._frontier[exs_id] = stamps[-1]
         if was_empty:
             heapq.heappush(self._heap, (records[0].sort_key(), exs_id))
         last_ts = self._last_released_ts
@@ -266,7 +268,7 @@ class OnlineSorter:
             and last_ts is not None
             and exs_id != self._last_released_source
         ):
-            min_ts = min(record.timestamp for record in records)
+            min_ts = min(stamps)
             if min_ts < last_ts:
                 self._grow(now - min_ts)
 
@@ -312,7 +314,7 @@ class OnlineSorter:
             key, exs_id = heap[0]
             if not overload and now < key[0] + int(self.frame_us):
                 if floor is None:
-                    floor = self._silent_floor()
+                    floor = empty_floor(queues, self._frontier, self._retired)[0]
                 if key[0] >= floor:
                     break
                 on_frontier += 1
@@ -329,7 +331,9 @@ class OnlineSorter:
                     record, arrival = queue[0]
                     if not overload and now < record.timestamp + int(self.frame_us):
                         if floor is None:
-                            floor = self._silent_floor()
+                            floor = empty_floor(
+                                queues, self._frontier, self._retired
+                            )[0]
                         if record.timestamp >= floor:
                             break
                         on_frontier += 1
@@ -354,13 +358,6 @@ class OnlineSorter:
         self.stats.on_frontier += on_frontier
         return released
 
-    def _silent_floor(self) -> float:
-        """The frontier release bound: nothing at or above it may leave
-        ahead of its frame (−∞ with the paper preset)."""
-        if not self.config.frontier:
-            return -math.inf
-        return empty_floor(self._queues, self._frontier, self._retired)
-
     def next_deadline(self) -> int | None:
         """ISM time at which the heap minimum's frame expires (None while
         nothing is parked) — when an idle caller must next :meth:`extract`."""
@@ -369,19 +366,12 @@ class OnlineSorter:
         return self._heap[0][0][0] + int(self.frame_us)
 
     def gating_source(self) -> int:
-        """The silent source the heap minimum is waiting on: the empty-
-        queue source with the lowest frontier at or below it (0 = none)."""
-        if not self._heap or not self.config.frontier:
+        """The silent source the heap minimum is waiting on: the one
+        whose frontier sets the release floor at or below it (0 = none)."""
+        if not self._heap:
             return 0
-        ts, exs_id = min(
-            (
-                (self._frontier.get(exs_id, -math.inf), exs_id)
-                for exs_id, queue in self._queues.items()
-                if not queue and exs_id not in self._retired
-            ),
-            default=(math.inf, 0),
-        )
-        return exs_id if ts <= self._heap[0][0][0] else 0
+        floor, exs_id = empty_floor(self._queues, self._frontier, self._retired)
+        return exs_id if floor <= self._heap[0][0][0] else 0
 
     def extract_ready_batch(self, now: int) -> list[EventRecord]:
         """Alias for :meth:`extract` naming the staged-pipeline contract:
@@ -401,6 +391,7 @@ class OnlineSorter:
                 heapq.heappush(self._heap, (queue[0][0].sort_key(), exs_id))
             self._account_release(record, exs_id, arrival, now, forced=False)
             released.append(record)
+        self.stats.flushed += len(released)
         return released
 
     # ------------------------------------------------------------------

@@ -117,7 +117,7 @@ def wire_sorter(registry: MetricsRegistry, sorter: Any, prefix: str = "sorter") 
     registry.gauge_fn(f"{prefix}.released_on_frontier", lambda: stats.on_frontier)
     registry.gauge_fn(
         f"{prefix}.released_on_frame",
-        lambda: stats.released - stats.on_frontier - stats.forced,
+        lambda: stats.released - stats.on_frontier - stats.forced - stats.flushed,
     )
     registry.gauge_fn(
         f"{prefix}.frontier_regressions", lambda: stats.frontier_regressions

@@ -56,6 +56,7 @@ from repro.runtime.shard import (
     RPC_SNAPSHOT,
     RPC_STOP,
     ShardConfig,
+    retire_frame,
     shard_worker_main,
 )
 from repro.runtime.shm import create_shared_ring
@@ -1099,6 +1100,11 @@ class ShardedIsmServer(_IsmFront):
                     # route for frames later in this same list.
                     conn_idx = self._conn_shard.get(conn)
             elif mtype == _MT_BYE:
+                # A clean goodbye retires the sources still bound to this
+                # socket from their shard's frontier (as IsmServer does).
+                for exs_id in self.plane.sources_on(conn):
+                    if self.connections.get(exs_id) is conn:
+                        forward(exs_shard[exs_id], retire_frame(exs_id))
                 self.plane.drop(conn)
                 return
             elif mtype == _MT_HEARTBEAT:

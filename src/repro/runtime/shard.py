@@ -33,6 +33,7 @@ copy of records still parked in a shard that might die.
 from __future__ import annotations
 
 import select
+import struct
 import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
@@ -66,6 +67,20 @@ CTRL_HELLO_REPLY = 0xB0C2  #: values = (exs_id, last acked seq or -1)
 _COMMIT_FIELDS = (FieldType.X_UHYPER, FieldType.X_UHYPER)
 _ACK_FIELDS = (FieldType.X_UINT, FieldType.X_UINT)
 _HELLO_REPLY_FIELDS = (FieldType.X_UINT, FieldType.X_INT)
+
+# The input ring carries raw wire frames plus one frame the dispatcher
+# makes itself and no socket ever sees: "this source said Bye" (the wire
+# Bye names no source).  It rides the ring, not the pipe, so it stays
+# behind the batches the source sent before leaving.
+_RETIRE = struct.Struct(">4sI")
+_RETIRE_TAG = b"RTIR"
+
+
+def retire_frame(exs_id: int) -> bytes:
+    """Pack the input-ring frame that retires *exs_id* from its shard's
+    sorter frontier."""
+    return _RETIRE.pack(_RETIRE_TAG, exs_id)
+
 
 #: Control-RPC verbs on the dispatcher↔shard pipe.
 RPC_SNAPSHOT = "snapshot"
@@ -250,6 +265,9 @@ class ShardWorker:
     # frame handling
     # ------------------------------------------------------------------
     def _handle_frame(self, payload: bytes, now: int) -> None:
+        if len(payload) == _RETIRE.size and payload[:4] == _RETIRE_TAG:
+            self.manager.retire_source(_RETIRE.unpack(payload)[1])
+            return
         try:
             msg = protocol.decode_message(payload)
         except Exception:

@@ -8,6 +8,7 @@ anything a peer can see must not depend on which tier it talks to.
 """
 
 import threading
+import time
 
 import pytest
 from tests.conftest import make_record, wait_until
@@ -361,30 +362,46 @@ def test_scripted_peer_sees_the_same_exchange_from_every_tier(kind):
 # ----------------------------------------------------------------------
 # Bye retires a source from the sorter's frontier; a lost socket does not
 # ----------------------------------------------------------------------
+#: A frame that never expires in these tests: only the frontier releases.
+_NEVER = IsmConfig(sorter=SorterConfig(initial_frame_us=600_000_000, decay_lambda=0.0))
+
+
+class Sources:
+    """Scripted EXS peers of one live server, one record per batch."""
+
+    def __init__(self, server, listener: MessageListener) -> None:
+        self.server, self.listener = server, listener
+        self.peers: list = []
+        self.seqs: dict[int, int] = {}
+
+    def dial(self, exs_id: int):
+        self.peers.append(connect(*self.listener.address))
+        self.peers[-1].send(hello(exs_id, wants_ack=False))
+        wait_until(
+            lambda: self.server.connections.get(exs_id) is not None, timeout=10.0
+        )
+        return self.peers[-1]
+
+    def send(self, conn, exs_id: int, timestamp: int) -> None:
+        record = make_record(event_id=exs_id, node_id=exs_id, timestamp=timestamp)
+        seq = self.seqs.get(exs_id, 0)
+        conn.send(protocol.Batch(exs_id=exs_id, seq=seq, records=(record,)))
+        self.seqs[exs_id] = seq + 1
+
+    def close(self) -> None:
+        for peer in self.peers:
+            peer.close()
+
+
 def test_bye_retires_a_source_from_the_frontier_and_loss_does_not():
     listener = MessageListener()
     sink = CollectingConsumer()
-    # A frame that never expires in this test: only the frontier releases.
-    config = IsmConfig(
-        sorter=SorterConfig(initial_frame_us=600_000_000, decay_lambda=0.0)
-    )
-    server = IsmServer(InstrumentationManager(config, [sink]), listener)
+    server = IsmServer(InstrumentationManager(_NEVER, [sink]), listener)
     sorter = server.manager.sorter
     thread = threading.Thread(target=server.serve, daemon=True)
     thread.start()
-    peers = []
-    seqs = {1: 0, 2: 0}
-
-    def dial(exs_id: int):
-        peers.append(connect(*listener.address))
-        peers[-1].send(hello(exs_id, wants_ack=False))
-        wait_until(lambda: server.connections.get(exs_id) is not None, timeout=10.0)
-        return peers[-1]
-
-    def send(conn, exs_id: int, timestamp: int) -> None:
-        record = make_record(event_id=exs_id, node_id=exs_id, timestamp=timestamp)
-        conn.send(protocol.Batch(exs_id=exs_id, seq=seqs[exs_id], records=(record,)))
-        seqs[exs_id] += 1
+    sources = Sources(server, listener)
+    dial, send = sources.dial, sources.send
 
     def delivered() -> list[int]:
         return [r.timestamp for r in sink.records]
@@ -416,10 +433,38 @@ def test_bye_retires_a_source_from_the_frontier_and_loss_does_not():
         wait_until(lambda: sorter.held == 2 and sorter.gating_source() == 2)
         assert delivered() == [t0 + 10, t0 + 30, t0 + 40]
     finally:
-        for peer in peers:
-            peer.close()
+        sources.close()
         server.stop()
         thread.join(timeout=30)
         listener.close()
     # Shutdown flushes what the lost source was still holding back.
     assert delivered() == [t0 + 10, t0 + 30, t0 + 40, t0 + 50, t0 + 60]
+
+
+def test_bye_retires_a_source_on_its_shard():
+    # The sorter lives in the shard worker: the dispatcher turns the Bye
+    # into an in-band retire frame behind the source's batches.
+    listener = MessageListener()
+    sink = CollectingConsumer()
+    server = ShardedIsmServer([sink], listener, shards=1, ism_config=_NEVER)
+    thread = threading.Thread(target=server.serve, daemon=True)
+    thread.start()
+    sources = Sources(server, listener)
+
+    def delivered() -> list[int]:
+        return [r.timestamp for r in sink.records]
+
+    try:
+        t0 = now_micros()
+        one, two = sources.dial(1), sources.dial(2)
+        # Source 2 is registered and silent: source 1's record waits on it.
+        sources.send(one, 1, t0 + 10)
+        time.sleep(0.5)
+        assert delivered() == []
+        two.send(protocol.Bye(reason="done"))
+        wait_until(lambda: delivered() == [t0 + 10], timeout=10.0)
+    finally:
+        sources.close()
+        server.stop()
+        thread.join(timeout=30)
+        listener.close()

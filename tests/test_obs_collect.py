@@ -76,6 +76,9 @@ class TestCollectWiring:
         assert snap.get("sorter.gating_source") == 1.0  # 200 waits on 1
         table = render_snapshot(snap)
         assert "released_on_frontier" in table and "gating_source" in table
+        # The shutdown flush releases the parked 200 on neither path.
+        assert len(sorter.flush(now=204)) == 1
+        assert registry.snapshot().get("sorter.released_on_frame") == 1.0
 
     def test_dead_gauge_is_skipped_not_fatal(self):
         registry = MetricsRegistry()

@@ -226,13 +226,15 @@ class TestFrontierRelease:
         # The frontier followed the source down: 100 still waits on it.
         assert sorter.held == 1 and sorter.gating_source() == 2
 
-    def test_paper_preset_waits_out_the_frame(self):
-        config = SorterConfig(initial_frame_us=100, decay_lambda=0.0, frontier=False)
-        sorter = OnlineSorter(config)
+    def test_a_silent_peer_makes_it_the_paper_sorter(self):
+        # How E4b/E7 pin the pure time-frame sorter: every record waits
+        # out T behind a source that never speaks.
+        sorter = OnlineSorter(SorterConfig(initial_frame_us=100, decay_lambda=0.0))
+        sorter.add_source(9)
         sorter.push(1, make_record(timestamp=50), now=50)
         sorter.push(2, make_record(timestamp=60), now=60)
         assert sorter.extract(now=149) == []
-        assert sorter.gating_source() == 0
+        assert sorter.gating_source() == 9
         assert [r.timestamp for r in sorter.extract(now=160)] == [50, 60]
         assert sorter.stats.on_frontier == 0
 
