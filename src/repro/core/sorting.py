@@ -42,6 +42,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterator, Sequence
 
 from repro.core.merge import empty_floor
@@ -244,7 +245,7 @@ class OnlineSorter:
         if queue is None:
             queue = self._queues.setdefault(exs_id, deque())
         was_empty = not queue
-        queue.extend((record, now) for record in records)
+        queue.extend(zip(records, repeat(now)))  # C-speed: pays for the stamps scan
         n = len(records)
         self._held += n
         self.stats.pushed += n
