@@ -1,11 +1,12 @@
-"""Codec-regression guard: the specialized wire codec must never be slower.
+"""Codec-regression guard: the compiled wire codec must never be slower.
 
 A fast smoke benchmark (no pytest-benchmark fixture, plain best-of-N
-timing; total runtime well under a second) that fails if the
-schema-specialized codec path loses to — or silently stops beating — the
-seed dynamic path, so a refactor cannot quietly bypass or regress the
-fast path.  Byte identity is asserted in the same breath: a fast path
-that wins by changing the wire format is also a failure.
+timing; total runtime well under a second) that fails if a schema's
+compiled plan loses to — or silently stops beating — the seed dynamic
+path, for the paper's fixed-size record and for records carrying strings
+and opaques, so a refactor cannot quietly bypass or regress the compiled
+path.  Byte identity is asserted in the same breath: a fast path that
+wins by changing the wire format is also a failure.
 """
 
 from __future__ import annotations
@@ -26,6 +27,21 @@ def _records() -> list[EventRecord]:
             timestamp=1_000_000 + i,
             field_types=(FieldType.X_INT,) * 6,
             values=(i, 2, 3, 4, 5, 6),
+        )
+        for i in range(_N_RECORDS)
+    ]
+
+
+def _var_records() -> list[EventRecord]:
+    """Variable-length schemas of the ledger's mixed workload, alternating."""
+    string_schema = (FieldType.X_INT, FieldType.X_STRING)
+    opaque_schema = (FieldType.X_INT, FieldType.X_OPAQUE, FieldType.X_DOUBLE)
+    return [
+        EventRecord(
+            event_id=8,
+            timestamp=1_000_000 + i,
+            field_types=string_schema if i % 2 else opaque_schema,
+            values=(i, "svc/" + "x" * (i % 40)) if i % 2 else (i, bytes(i % 32), 0.5),
         )
         for i in range(_N_RECORDS)
     ]
@@ -66,5 +82,33 @@ def test_specialized_decode_not_slower_than_dynamic():
     slow = _best(lambda: protocol.decode_message(payload, use_fastpath=False))
     assert fast <= slow, (
         f"specialized decode ({fast * 1e6:.0f} µs/batch) slower than "
+        f"dynamic ({slow * 1e6:.0f} µs/batch)"
+    )
+
+
+def test_compiled_var_length_encode_not_slower_than_dynamic():
+    records = _var_records()
+    assert protocol.encode_batch_records(1, 0, records) == protocol.encode_batch_records(
+        1, 0, records, use_fastpath=False
+    )
+    fast = _best(lambda: protocol.encode_batch_records(1, 0, records))
+    slow = _best(
+        lambda: protocol.encode_batch_records(1, 0, records, use_fastpath=False)
+    )
+    assert fast <= slow, (
+        f"compiled var-length encode ({fast * 1e6:.0f} µs/batch) slower than "
+        f"dynamic ({slow * 1e6:.0f} µs/batch)"
+    )
+
+
+def test_compiled_var_length_decode_not_slower_than_dynamic():
+    payload = protocol.encode_batch_records(1, 0, _var_records())
+    assert protocol.decode_message(payload) == protocol.decode_message(
+        payload, use_fastpath=False
+    )
+    fast = _best(lambda: protocol.decode_message(payload))
+    slow = _best(lambda: protocol.decode_message(payload, use_fastpath=False))
+    assert fast <= slow, (
+        f"compiled var-length decode ({fast * 1e6:.0f} µs/batch) slower than "
         f"dynamic ({slow * 1e6:.0f} µs/batch)"
     )

@@ -3,10 +3,12 @@
 The paper's custom-NOTICE-macro utility specializes the sensor hot path
 to a fixed schema (A2 measures that at 2.7×); this experiment measures
 the same specialization applied to the transfer protocol's codec: one
-precompiled ``struct.Struct`` per schema versus one Python method call
-per four bytes.  The headline pipeline rates the paper reports (38,000
-ev/s at the EXS, 90,000 ev/s end-to-end) all sit downstream of this
-codec, so its cost is the ceiling on everything E2–E5 measure.
+precompiled ``struct.Struct`` per schema (:mod:`repro.core.plan`; a
+variable-length schema costs one per run of fixed fields plus one slice
+per string/opaque) versus one Python method call per four bytes.  The
+headline pipeline rates the paper reports (38,000 ev/s at the EXS,
+90,000 ev/s end-to-end) all sit downstream of this codec, so its cost is
+the ceiling on everything E2–E5 measure.
 """
 
 from __future__ import annotations
@@ -70,8 +72,9 @@ def test_decode_specialized_vs_dynamic(benchmark, report):
 
 
 def test_mixed_schema_batch_speedup(benchmark, report):
-    """Schema runs broken by variable-length records: the fast path must
-    still win on the fixed-size majority while falling back per-record."""
+    """Schema runs broken by variable-length records: every record, the
+    string-carrying ones included, goes through its schema's compiled
+    plan, so the mixed batch must win like the fixed-size one."""
     records = []
     for i in range(N_RECORDS):
         if i % 16 == 15:

@@ -230,14 +230,15 @@ class ExternalSensor:
             # Decode + correction + node stamping fused into one trusted
             # construction: the payload was validated when the sensor
             # packed it, so the validated-copy constructors are pure
-            # overhead here.  Records embedding X_TS user fields keep the
-            # slow path inside the fused decoder — those field values must
-            # shift with the timestamp.
+            # overhead here.  X_TS user fields shift with the timestamp
+            # inside the fused decoder.
             corrected = unpack_stamped(payload, node_id, correction)
             if admit_record is not None and not admit_record(corrected):
                 self.stats.records_filtered += 1
                 continue
             self._pending.append(corrected)
+            # The record's plan answers: a constant per fixed-size schema,
+            # the byte counts of its strings/opaques otherwise.
             self._pending_bytes += wire_size(
                 corrected, compress_meta=compress_meta, delta_ts=delta_ts
             )

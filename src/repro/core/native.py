@@ -26,30 +26,22 @@ from __future__ import annotations
 import struct
 from typing import Any
 
+from repro.core.plan import (
+    FIELD_CODES,
+    FLAG_CAUSAL,
+    NATIVE_HEADER,
+    PACK_ERRORS,
+    native_match,
+    plan_for,
+)
 from repro.core.records import EventRecord, FieldType, intern_schema
+from repro.util.timebase import check_timestamp
 
-HEADER = struct.Struct("<IIIHHq")
+HEADER = NATIVE_HEADER
 HEADER_SIZE = HEADER.size  # 24 bytes
 
-FLAG_CAUSAL = 0x0001
-
-# (struct code, size) per fixed-size field type.
-_FIELD_CODECS: dict[FieldType, struct.Struct] = {
-    FieldType.X_BYTE: struct.Struct("<b"),
-    FieldType.X_UBYTE: struct.Struct("<B"),
-    FieldType.X_SHORT: struct.Struct("<h"),
-    FieldType.X_USHORT: struct.Struct("<H"),
-    FieldType.X_INT: struct.Struct("<i"),
-    FieldType.X_UINT: struct.Struct("<I"),
-    FieldType.X_HYPER: struct.Struct("<q"),
-    FieldType.X_UHYPER: struct.Struct("<Q"),
-    FieldType.X_FLOAT: struct.Struct("<f"),
-    FieldType.X_DOUBLE: struct.Struct("<d"),
-    FieldType.X_TS: struct.Struct("<q"),
-    FieldType.X_REASON: struct.Struct("<I"),
-    FieldType.X_CONSEQ: struct.Struct("<I"),
-}
-
+#: Per-field structs of the reference codec, from the plan's one table.
+_FIELD_STRUCTS = {t: struct.Struct("<" + codes[0]) for t, codes in FIELD_CODES.items()}
 _LEN = struct.Struct("<I")
 _TYPE = struct.Struct("<B")
 
@@ -58,72 +50,29 @@ class NativeCodecError(ValueError):
     """A buffer does not hold a valid native-layout record."""
 
 
-class _BodyCodec:
-    """Precompiled decoder for one fixed-size schema's record body.
-
-    The per-field decode loop pays a ``FieldType`` enum construction and a
-    dict lookup per field; for a fixed-size schema the whole body layout is
-    known, so one interleaved ``struct`` (tag byte + payload per field)
-    unpacks everything in a single call.  The unpacked tag bytes are
-    compared against the schema's expected tags — a full match proves the
-    body *is* this schema (parsing is deterministic left-to-right), so
-    same-(total, n_fields) schemas can never be confused.
-    """
-
-    __slots__ = ("unpack_from", "tags", "field_types")
-
-    def __init__(self, field_types: tuple[FieldType, ...]) -> None:
-        fmt = "<" + "".join(
-            "B" + _FIELD_CODECS[ftype].format[-1] for ftype in field_types
-        )
-        self.unpack_from = struct.Struct(fmt).unpack_from
-        self.tags = tuple(int(ftype) for ftype in field_types)
-        self.field_types = field_types
-
-
-#: Specialized body decoders, bucketed by (total_length, n_fields) — the two
-#: header fields that are free to read.  Several fixed-size schemas can share
-#: a bucket; the tag comparison in the fast path picks the right one.
-_SPECIALIZED: dict[tuple[int, int], list[_BodyCodec]] = {}
-_MAX_SPECIALIZED_BUCKETS = 1024
-_MAX_CODECS_PER_BUCKET = 8
-
-
-def _maybe_specialize(
-    total: int, n_fields: int, field_types: tuple[FieldType, ...]
-) -> None:
-    """Register a fast decoder for a schema the slow path just parsed."""
-    for ftype in field_types:
-        if ftype not in _FIELD_CODECS:
-            return  # variable-size field: layout not determined by schema
-    key = (total, n_fields)
-    bucket = _SPECIALIZED.get(key)
-    if bucket is None:
-        if len(_SPECIALIZED) >= _MAX_SPECIALIZED_BUCKETS:
-            return
-        bucket = _SPECIALIZED[key] = []
-    elif len(bucket) >= _MAX_CODECS_PER_BUCKET:
-        return
-    for codec in bucket:
-        if codec.field_types == field_types:
-            return
-    bucket.append(_BodyCodec(field_types))
-
-
 def pack_record(record: EventRecord) -> bytes:
     """Serialize *record* into the native node-local layout."""
+    plan = plan_for(record.field_types)
+    if plan is not None:
+        try:
+            return plan.native_pack(
+                record.event_id, record.node_id, record.timestamp, record.values
+            )
+        except PACK_ERRORS:
+            pass  # the per-field codec raises the canonical error
+    return pack_fields(record)
+
+
+def pack_fields(record: EventRecord) -> bytes:
+    """The per-field reference packer the compiled plans are tested against."""
     parts: list[bytes] = []
     for ftype, value in zip(record.field_types, record.values):
         parts.append(_TYPE.pack(ftype))
-        codec = _FIELD_CODECS.get(ftype)
+        codec = _FIELD_STRUCTS.get(ftype)
         if codec is not None:
             parts.append(codec.pack(value))
-        elif ftype is FieldType.X_STRING:
-            data = value.encode("utf-8")
-            parts.append(_LEN.pack(len(data)))
-            parts.append(data)
-        else:  # X_OPAQUE
-            data = bytes(value)
+        else:
+            data = value.encode("utf-8") if ftype is FieldType.X_STRING else bytes(value)
             parts.append(_LEN.pack(len(data)))
             parts.append(data)
     body = b"".join(parts)
@@ -140,31 +89,37 @@ def pack_record(record: EventRecord) -> bytes:
 
 
 def packed_size(record: EventRecord) -> int:
-    """Size in bytes :func:`pack_record` would produce, without packing."""
-    size = HEADER_SIZE
-    for ftype, value in zip(record.field_types, record.values):
-        size += 1
-        codec = _FIELD_CODECS.get(ftype)
-        if codec is not None:
-            size += codec.size
-        elif ftype is FieldType.X_STRING:
-            size += 4 + len(value.encode("utf-8"))
-        else:
-            size += 4 + len(value)
-    return size
+    """Size in bytes :func:`pack_record` produces for *record*."""
+    return len(pack_record(record))
 
 
 def unpack_record(buf, offset: int = 0) -> tuple[EventRecord, int]:
     """Deserialize one record from *buf* at *offset*.
 
     Returns ``(record, next_offset)``.  Raises :class:`NativeCodecError` on
-    truncation or an unknown field type.
+    truncation, an unknown field type or invalid UTF-8 in a string.
 
-    Records whose schema has been seen before (and holds only fixed-size
-    fields) decode through a precompiled whole-body struct instead of the
-    per-field loop — the EXS drains thousands of same-schema records per
-    poll, so the specialized path dominates in steady state.
+    A record of a schema seen before decodes through its compiled plan;
+    the first of each schema takes the per-field path, which compiles the
+    plan for the rest.
     """
+    if offset + HEADER_SIZE <= len(buf):
+        total, event_id, node_id, n_fields, _flags, timestamp = HEADER.unpack_from(
+            buf, offset
+        )
+        if HEADER_SIZE <= total and offset + total <= len(buf):
+            plan, values = native_match(buf, offset, total, n_fields)
+            if plan is not None:
+                record = EventRecord.from_wire(
+                    event_id, timestamp, plan.field_types, values, node_id
+                )
+                return record, offset + total
+    return unpack_fields(buf, offset)
+
+
+def unpack_fields(buf, offset: int = 0) -> tuple[EventRecord, int]:
+    """The per-field reference decoder: canonical errors, and the plan
+    compiled (:func:`repro.core.plan.plan_for`) for every schema it parses."""
     buf_len = len(buf)
     if offset + HEADER_SIZE > buf_len:
         raise NativeCodecError("truncated record header")
@@ -174,19 +129,6 @@ def unpack_record(buf, offset: int = 0) -> tuple[EventRecord, int]:
     end = offset + total
     if total < HEADER_SIZE or end > buf_len:
         raise NativeCodecError(f"record length {total} out of bounds")
-    bucket = _SPECIALIZED.get((total, n_fields))
-    if bucket is not None:
-        body_at = offset + HEADER_SIZE
-        for codec in bucket:
-            # end <= buf_len and the codec's struct size is exactly
-            # total - HEADER_SIZE (both derive from the same fixed-size
-            # schema), so unpack_from cannot overrun.
-            vals = codec.unpack_from(buf, body_at)
-            if vals[0::2] == codec.tags:
-                record = EventRecord.from_wire(
-                    event_id, timestamp, codec.field_types, vals[1::2], node_id
-                )
-                return record, end
     view = memoryview(buf)
     pos = offset + HEADER_SIZE
     field_types: list[FieldType] = []
@@ -200,7 +142,7 @@ def unpack_record(buf, offset: int = 0) -> tuple[EventRecord, int]:
             ftype = FieldType(code)
         except ValueError as exc:
             raise NativeCodecError(f"unknown field type {code}") from exc
-        codec = _FIELD_CODECS.get(ftype)
+        codec = _FIELD_STRUCTS.get(ftype)
         if codec is not None:
             if pos + codec.size > end:
                 raise NativeCodecError("truncated fixed field payload")
@@ -213,26 +155,23 @@ def unpack_record(buf, offset: int = 0) -> tuple[EventRecord, int]:
             pos += 4
             if pos + length > end:
                 raise NativeCodecError("truncated variable field payload")
-            data = bytes(view[pos : pos + length])
+            value = bytes(view[pos : pos + length])
             pos += length
-            value = data.decode("utf-8") if ftype is FieldType.X_STRING else data
+            if ftype is FieldType.X_STRING:
+                try:
+                    value = value.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise NativeCodecError(f"invalid UTF-8 in string field: {exc}") from exc
         field_types.append(ftype)
         values.append(value)
     if pos != end:
         raise NativeCodecError(f"{end - pos} stray bytes inside record")
     # Interning gives every record of one schema the same field-type tuple
     # (so the wire codec's identity checks hit), and the struct widths above
-    # already bound every value — from_wire skips the redundant revalidation
-    # on this per-record EXS hot path.
+    # already bound every value — from_wire skips the redundant revalidation.
     interned = intern_schema(tuple(field_types)).field_types
-    _maybe_specialize(total, n_fields, interned)
-    record = EventRecord.from_wire(
-        event_id,
-        timestamp,
-        interned,
-        tuple(values),
-        node_id,
-    )
+    plan_for(interned)
+    record = EventRecord.from_wire(event_id, timestamp, interned, tuple(values), node_id)
     return record, end
 
 
@@ -244,43 +183,30 @@ def unpack_record_stamped(
     The EXS poll loop decodes a ring payload and immediately rebuilds the
     record with the clock correction applied and its node identity stamped;
     fusing both into the decode constructs each record once instead of
-    twice.  Records carrying :attr:`FieldType.X_TS` user fields under a
-    non-zero correction take the validated copy path — their field values
-    must shift with the timestamp.
+    twice.  ``X_TS`` user fields shift with the timestamp, which is then
+    range-checked as :meth:`EventRecord.with_timestamp` would.
     """
-    buf_len = len(buf)
-    if HEADER_SIZE > buf_len:
-        raise NativeCodecError("truncated record header")
-    total, event_id, _node, n_fields, _flags, timestamp = HEADER.unpack_from(buf, 0)
-    if HEADER_SIZE <= total <= buf_len:
-        bucket = _SPECIALIZED.get((total, n_fields))
-        if bucket is not None:
-            for codec in bucket:
-                vals = codec.unpack_from(buf, HEADER_SIZE)
-                if vals[0::2] == codec.tags:
-                    field_types = codec.field_types
-                    if correction and FieldType.X_TS in field_types:
-                        break  # X_TS values must shift: full path below
-                    return EventRecord.from_wire(
-                        event_id,
-                        timestamp + correction,
-                        field_types,
-                        vals[1::2],
-                        node_id,
-                    )
-    record, _ = unpack_record(buf)
-    if correction and FieldType.X_TS in record.field_types:
-        shifted = record.with_timestamp(record.timestamp + correction)
-        if shifted.node_id != node_id:
-            shifted = shifted.with_node(node_id)
-        return shifted
-    return EventRecord.from_wire(
-        record.event_id,
-        record.timestamp + correction,
-        record.field_types,
-        record.values,
-        node_id,
-    )
+    plan = None
+    if len(buf) >= HEADER_SIZE:
+        total, event_id, _node, n_fields, _flags, timestamp = HEADER.unpack_from(buf, 0)
+        if HEADER_SIZE <= total <= len(buf):
+            plan, values = native_match(buf, 0, total, n_fields)
+    if plan is None:
+        record, _ = unpack_fields(buf)
+        event_id, timestamp, field_types, values = (
+            record.event_id, record.timestamp, record.field_types, record.values
+        )
+    else:
+        field_types = plan.field_types
+    if correction:
+        timestamp += correction
+        if FieldType.X_TS in field_types:
+            check_timestamp(timestamp)
+            values = tuple(
+                v + correction if t is FieldType.X_TS else v
+                for t, v in zip(field_types, values)
+            )
+    return EventRecord.from_wire(event_id, timestamp, field_types, values, node_id)
 
 
 #: Byte offset of the timestamp inside the native header (<IIIHHq).

@@ -10,14 +10,15 @@ encoding:
 * the event and node ids are read with one ``struct`` peek from the fixed
   header offsets, and the identity decision (whitelist/blocklist/node) is
   memoized per id — steady state is a dict hit per record;
-* field tests compile against the same per-schema body codecs the native
-  decoder specializes (:mod:`repro.core.native`): one interleaved
-  ``Struct.unpack_from`` yields every field value, the tag comparison
-  proves the schema, and the precompiled ``(position, op, operand)`` plan
-  runs over the tuple — no :class:`EventRecord` is ever built;
-* variable-length schemas (strings/opaques) fall back to a full decode
-  plus the shared Python evaluation, so the compiled decision is *exactly*
-  :meth:`FilterSpec.matches` on the decoded record (property-tested).
+* field tests compile against the schema plans the native decoder uses
+  (:mod:`repro.core.plan`): the plan's native unpack yields every field
+  value with the tags checked — fixed-size and variable-length schemas
+  alike — and the precompiled ``(position, op, operand)`` triples run over
+  that tuple — no :class:`EventRecord` is ever built;
+* a schema no plan knows yet takes one full decode (which compiles its
+  plan) plus the shared Python evaluation, so the compiled decision is
+  *exactly* :meth:`FilterSpec.matches` on the decoded record
+  (property-tested).
 
 Field tests see the record as the sensor wrote it: node-local values,
 pre-correction timestamps.  That is the documented pushdown semantics —
@@ -31,6 +32,7 @@ from typing import Any, Callable
 
 from repro.core import native
 from repro.core.filtering import _OP_FNS, FieldTest, FilterSpec
+from repro.core.plan import SchemaPlan, native_match
 from repro.core.records import EventRecord
 
 __all__ = ["CompiledFilterState"]
@@ -47,29 +49,25 @@ _HEADER = struct.Struct("<IIIH")
 #: the cap the decision is recomputed per record (correct, just slower).
 _MAX_STATIC_MEMO = 4096
 
-#: Hoisted for the per-record hot path.
-_HEADER_SIZE = native.HEADER_SIZE
 
-
-def _compile_plan(
-    tests: tuple[FieldTest, ...], field_types: tuple
+def _compile_tests(
+    tests: tuple[FieldTest, ...], plan: SchemaPlan
 ) -> tuple[tuple[int, Callable[[Any, Any], bool], int | float], ...] | None:
-    """Compile *tests* against one specialized body codec's schema.
+    """Compile *tests* against one schema plan.
 
-    Returns ``(tuple_position, op_fn, operand)`` triples indexing into the
-    codec's interleaved ``(tag, value, tag, value, ...)`` unpack output,
-    or ``None`` when a test names a field the schema does not have — the
-    schema can never pass, and the cached ``None`` plan fails it without
-    unpack work.  Specialized codecs only exist for fixed-size schemas,
-    whose field types are all numeric — so no type check is needed per
-    value.
+    Returns ``(field_index, op_fn, operand)`` triples over the plan's
+    unpacked values, or ``None`` when a test names a field the schema does
+    not have or a string/opaque field (tests are numeric) — the schema can
+    never pass.  Every other field is numeric, so no type check is needed
+    per value.
     """
-    plan = []
+    compiled = []
     for test in tests:
-        if test.field_index >= len(field_types):
+        index = test.field_index
+        if index >= len(plan.field_types) or index in plan.var_fields:
             return None
-        plan.append((1 + 2 * test.field_index, _OP_FNS[test.op], test.value))
-    return tuple(plan)
+        compiled.append((index, _OP_FNS[test.op], test.value))
+    return tuple(compiled)
 
 
 class CompiledFilterState:
@@ -92,7 +90,7 @@ class CompiledFilterState:
         "_node_sensitive",
         "_tests",
         "_sample_every",
-        "_schemas",
+        "_plans",
     )
 
     def __init__(self, spec: FilterSpec) -> None:
@@ -108,10 +106,8 @@ class CompiledFilterState:
         self._node_sensitive = spec.allowed_nodes is not None
         self._tests = spec.field_tests
         self._sample_every = spec.sample_every
-        #: Per-schema compiled entries keyed ``total << 16 | n_fields``:
-        #: a tuple of ``(unpack_from, tags, plan)`` per specialized codec
-        #: in that bucket (plan ``None`` = schema can never pass).
-        self._schemas: dict[int, tuple] = {}
+        #: Compiled tests per schema plan (``None`` = can never pass).
+        self._plans: dict[SchemaPlan, tuple | None] = {}
         #: The per-record entry point, bound once: specs without field
         #: tests never branch on them in the hot loop.
         self.admit_payload = (
@@ -172,7 +168,7 @@ class CompiledFilterState:
 
     def _admit_tests(self, payload: bytes) -> bool:
         """Payload decision for specs with field tests: one header peek,
-        one schema-cache hit, one interleaved unpack, the compiled plan."""
+        the schema plan's native unpack, the compiled tests."""
         total, event_id, node_id, n_fields = _HEADER.unpack_from(payload, 0)
         key = (event_id, node_id) if self._node_sensitive else event_id
         static = self._static.get(key)
@@ -183,30 +179,29 @@ class CompiledFilterState:
         if not static:
             self.dropped += 1
             return False
-        schema_key = total << 16 | n_fields
-        entries = self._schemas.get(schema_key)
-        if entries is None:
-            entries = self._compile_schema(schema_key, total, n_fields)
-        for unpack_from, tags, plan in entries:
-            vals = unpack_from(payload, _HEADER_SIZE)
-            if vals[0::2] == tags:
-                if plan is None:
-                    self.dropped += 1
-                    return False
-                for pos, op_fn, operand in plan:
-                    if not op_fn(vals[pos], operand):
-                        self.dropped += 1
-                        return False
-                n = self._sample_every
-                if n > 1:
-                    count = self._counters.get(event_id, 0)
-                    self._counters[event_id] = count + 1
-                    if count % n:
-                        self.dropped += 1
-                        return False
-                self.passed += 1
-                return True
-        return self._admit_tests_fallback(payload, event_id, total, n_fields, entries)
+        plan, values = native_match(payload, 0, total, n_fields)
+        if plan is None:
+            # Unseen schema: decode once (compiling its plan) and share the
+            # reference evaluation.
+            record, _ = native.unpack_record(payload)
+            if not self.spec.matches(record):
+                self.dropped += 1
+                return False
+            return self._sample(event_id)
+        try:
+            compiled = self._plans[plan]
+        except KeyError:
+            compiled = _compile_tests(self._tests, plan)
+            if len(self._plans) < _MAX_STATIC_MEMO:
+                self._plans[plan] = compiled
+        if compiled is None:
+            self.dropped += 1
+            return False
+        for index, op_fn, operand in compiled:
+            if not op_fn(values[index], operand):
+                self.dropped += 1
+                return False
+        return self._sample(event_id)
 
     def admit(self, record: EventRecord) -> bool:
         """Decoded-record entry point, identical in effect to
@@ -215,35 +210,3 @@ class CompiledFilterState:
             self.dropped += 1
             return False
         return self._sample(record.event_id)
-
-    # ------------------------------------------------------------------
-    def _compile_schema(self, schema_key: int, total: int, n_fields: int):
-        """Build (and cache) the compiled entries for one schema bucket."""
-        bucket = native._SPECIALIZED.get((total, n_fields), ())
-        entries = tuple(
-            (codec.unpack_from, codec.tags,
-             _compile_plan(self._tests, codec.field_types))
-            for codec in bucket
-        )
-        if len(self._schemas) < _MAX_STATIC_MEMO:
-            self._schemas[schema_key] = entries
-        return entries
-
-    def _admit_tests_fallback(
-        self, payload: bytes, event_id: int, total: int, n_fields: int, entries
-    ) -> bool:
-        """Variable-length (or not-yet-specialized) schema: decode once
-        and share the reference evaluation.  ``unpack_record`` registers
-        a specialized codec for fixed-size schemas as a side effect; when
-        that grows the bucket past the cached snapshot, the snapshot is
-        invalidated so the next record of this schema takes the compiled
-        path."""
-        record, _ = native.unpack_record(payload)
-        bucket = native._SPECIALIZED.get((total, n_fields))
-        if bucket is not None and len(bucket) != len(entries):
-            self._schemas.pop(total << 16 | n_fields, None)
-        for test in self._tests:
-            if not test.evaluate(record.values):
-                self.dropped += 1
-                return False
-        return self._sample(event_id)

@@ -83,25 +83,6 @@ _INT_RANGES: dict[FieldType, tuple[int, int]] = {
     FieldType.X_CONSEQ: (0, 2**32 - 1),
 }
 
-# XDR-encoded payload size per field type; strings/opaques are 4 (length)
-# plus padded data, handled specially.
-_FIXED_WIRE_SIZES: dict[FieldType, int] = {
-    FieldType.X_BYTE: 4,
-    FieldType.X_UBYTE: 4,
-    FieldType.X_SHORT: 4,
-    FieldType.X_USHORT: 4,
-    FieldType.X_INT: 4,
-    FieldType.X_UINT: 4,
-    FieldType.X_HYPER: 8,
-    FieldType.X_UHYPER: 8,
-    FieldType.X_FLOAT: 4,
-    FieldType.X_DOUBLE: 8,
-    FieldType.X_TS: 8,
-    FieldType.X_REASON: 4,
-    FieldType.X_CONSEQ: 4,
-}
-
-
 def validate_field(ftype: FieldType, value: Any) -> None:
     """Raise :class:`TypeError`/:class:`ValueError` unless *value* is a
     legal payload for *ftype*."""
@@ -175,18 +156,9 @@ class RecordSchema:
 
     def payload_wire_size(self, values: Sequence[Any]) -> int:
         """XDR payload bytes for *values* (excludes meta header/timestamp)."""
-        total = 0
-        for ftype, value in zip(self.field_types, values):
-            fixed = _FIXED_WIRE_SIZES.get(ftype)
-            if fixed is not None:
-                total += fixed
-            elif ftype is FieldType.X_STRING:
-                n = len(value.encode("utf-8"))
-                total += 4 + n + (4 - n % 4) % 4
-            else:  # X_OPAQUE
-                n = len(value)
-                total += 4 + n + (4 - n % 4) % 4
-        return total
+        from repro.core.plan import wire_payload_size  # the plan module builds on this one
+
+        return wire_payload_size(self.field_types, values)
 
 
 #: Interned schemas, keyed by their (canonical) field-type tuple.  Interning

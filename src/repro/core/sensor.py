@@ -24,6 +24,7 @@ import struct
 from typing import Any, Callable, Sequence
 
 from repro.core import native
+from repro.core.plan import FIELD_CODES, SchemaPlan, plan_for
 from repro.core.records import (
     DEFAULT_MAX_FIELDS,
     EventRecord,
@@ -146,23 +147,6 @@ class Sensor:
 # specialization tool
 # ----------------------------------------------------------------------
 
-_STRUCT_CODES: dict[FieldType, str] = {
-    FieldType.X_BYTE: "b",
-    FieldType.X_UBYTE: "B",
-    FieldType.X_SHORT: "h",
-    FieldType.X_USHORT: "H",
-    FieldType.X_INT: "i",
-    FieldType.X_UINT: "I",
-    FieldType.X_HYPER: "q",
-    FieldType.X_UHYPER: "Q",
-    FieldType.X_FLOAT: "f",
-    FieldType.X_DOUBLE: "d",
-    FieldType.X_TS: "q",
-    FieldType.X_REASON: "I",
-    FieldType.X_CONSEQ: "I",
-}
-
-
 def compile_notice(
     schema: RecordSchema | Sequence[FieldType],
 ) -> Callable[[Sensor, int, Any], bool]:
@@ -176,9 +160,9 @@ def compile_notice(
     *values) -> bool``.
 
     Schemas containing variable-length fields (``X_STRING``/``X_OPAQUE``)
-    cannot be fully pre-sized; for those the specialized function falls back
-    to a two-part pack that is still substantially cheaper than the dynamic
-    path.
+    cannot be fully pre-sized; for those the schema's compiled native pack
+    (:mod:`repro.core.plan`) emits one ``struct`` call per run of
+    fixed-size fields and splices in each encoded string/opaque.
     """
     if not isinstance(schema, RecordSchema):
         schema = RecordSchema(tuple(schema))
@@ -193,7 +177,7 @@ def compile_notice(
         # One flat struct: header, then (tag, payload) per field.
         fmt = "<IIIHHq"
         for t in types:
-            fmt += "B" + _STRUCT_CODES[t]
+            fmt += "B" + FIELD_CODES[t][0]
         packer = struct.Struct(fmt)
         total = packer.size
         tags = tuple(int(t) for t in types)
@@ -224,30 +208,11 @@ def compile_notice(
         fast_notice.wire_struct = packer  # type: ignore[attr-defined]
         return fast_notice
 
-    # Variable-length schema: pre-compile the fixed prefix between
-    # variable fields and splice in the encoded strings at call time.
+    plan = plan_for(types) or SchemaPlan(types)
+    pack = plan.native_pack
+
     def flexible_notice(sensor: Sensor, event_id: int, *values: Any) -> bool:
-        parts: list[bytes] = []
-        for ftype, value in zip(types, values):
-            code = _STRUCT_CODES.get(ftype)
-            if code is not None:
-                parts.append(struct.pack("<B" + code, ftype, value))
-            elif ftype is FieldType.X_STRING:
-                data = value.encode("utf-8")
-                parts.append(struct.pack("<BI", ftype, len(data)) + data)
-            else:
-                data = bytes(value)
-                parts.append(struct.pack("<BI", ftype, len(data)) + data)
-        body = b"".join(parts)
-        header = native.HEADER.pack(
-            native.HEADER_SIZE + len(body),
-            event_id,
-            sensor.node_id,
-            n_fields,
-            flags,
-            sensor.clock(),
-        )
-        if sensor.ring.push_bytes(header + body):
+        if sensor.ring.push_bytes(pack(event_id, sensor.node_id, sensor.clock(), values)):
             sensor.emitted += 1
             return True
         sensor.dropped += 1

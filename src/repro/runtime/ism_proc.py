@@ -1091,7 +1091,7 @@ class ShardedIsmServer(_IsmFront):
             elif mtype == _MT_HELLO:
                 try:
                     msg = protocol.decode_message(payload)
-                except (XdrDecodeError, ValueError):
+                except XdrDecodeError:
                     self.plane.drop(conn)
                     return
                 if isinstance(msg, protocol.Hello):

@@ -9,7 +9,7 @@ throughput multiplier on the way through:
 
 * **Frame coalescing** — consecutive downstream batches from one source
   are re-emitted as one large frame near ``batch_max_bytes``, re-encoded
-  through the fastcodec batch path (never field-by-field).  The coalesced
+  through each schema's compiled plan (never field-by-field).  The coalesced
   frame preserves the *original* sequence numbers (``first_seq..seq``),
   so acks, dedup, and resume keep their end-to-end meaning.
 * **In-flight pre-sorting** — decoded batch envelopes ride a

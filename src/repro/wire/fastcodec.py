@@ -1,218 +1,13 @@
-"""Schema-specialized wire codecs: the NOTICE trick applied to the codec.
+"""The per-schema wire codec under its original names.
 
-The paper's custom-``NOTICE``-macro utility specializes the *sensor* hot
-path to a fixed schema; this module applies the same idea to the *wire*
-layer.  For every distinct record schema whose fields are all fixed-size,
-we compile a single :class:`struct.Struct` covering the complete record —
-event id, the constant compressed meta word(s), the timestamp, and every
-field payload — so a record encodes with **one** ``Struct.pack`` call and
-decodes with **one** ``Struct.unpack_from`` against a ``memoryview``,
-replacing one Python method call per four bytes with one C call per record.
-
-Two caches cooperate:
-
-* ``codec_for_types`` — encode side, keyed by the record's field-type
-  tuple.  Returns ``None`` for schemas with variable-length fields
-  (``X_STRING``/``X_OPAQUE``), which fall back to the dynamic per-field
-  path in :mod:`repro.wire.protocol`.
-* ``peek_codec`` — decode side, keyed by the raw compressed meta word(s)
-  read straight out of the incoming buffer.  Because the meta word encodes
-  the field count *and* every type nibble, the raw word is a complete
-  schema key: no nibble parsing happens per record, only a dict lookup.
-
-The specialized output is byte-for-byte identical to the dynamic codec's
-(asserted by tests/test_fastcodec.py), so the fast path is invisible on
-the wire.  Records whose meta words are non-canonical (garbage in unused
-nibbles — legal for the tolerant dynamic decoder, never produced by our
-encoder) and the ``delta_ts``/plain-meta ablation modes always take the
-dynamic path, preserving the seed codec's exact semantics.
+Every schema's wire framing is now a framing of its compiled plan
+(:mod:`repro.core.plan`), variable-length schemas included; these names
+stay for callers that ask which schemas take the compiled path.
 """
 
-from __future__ import annotations
+from repro.core.plan import plan_at, plan_for
 
-import struct
-from typing import Sequence
-
-from repro.core.records import FIELD_TYPE_END, FieldType, intern_schema
-
-#: struct format per fixed-size field type; mirrors the dynamic
-#: ``_encode_field``/``_decode_field`` dispatch in ``protocol``.
-_FIXED_FMT: dict[FieldType, str] = {
-    FieldType.X_BYTE: "i",
-    FieldType.X_UBYTE: "I",
-    FieldType.X_SHORT: "i",
-    FieldType.X_USHORT: "I",
-    FieldType.X_INT: "i",
-    FieldType.X_UINT: "I",
-    FieldType.X_HYPER: "q",
-    FieldType.X_UHYPER: "Q",
-    FieldType.X_FLOAT: "f",
-    FieldType.X_DOUBLE: "d",
-    FieldType.X_TS: "q",
-    FieldType.X_REASON: "I",
-    FieldType.X_CONSEQ: "I",
-}
-
-#: Mirrors ``protocol.MAX_WIRE_FIELDS`` (kept local to avoid a cycle).
-_MAX_WIRE_FIELDS = 255
-
-_UNPACK_U32 = struct.Struct(">I").unpack_from
-
-#: Backstop against an adversarial stream minting unbounded distinct
-#: schemas/meta words; past the cap lookups still work, nothing is retained.
-_CACHE_CAP = 1024
-
-_MISS = object()          # codec-by-types cache miss sentinel
-_DYNAMIC = object()       # decode cache: "valid meta, but no fast path"
-
-
-def compressed_meta_words(types: Sequence[FieldType]) -> tuple[int, ...]:
-    """The compressed meta header for *types* as u32 words.
-
-    Same packing as ``protocol._encode_meta_compressed``: count byte plus
-    six nibbles in word 0, eight nibbles per extension word, unused
-    nibbles carrying the end sentinel.
-    """
-    n = len(types)
-    word = n << 24
-    for i, t in enumerate(types[:6]):
-        word |= int(t) << (20 - 4 * i)
-    words = [word]
-    rest = types[6:]
-    for base in range(0, len(rest), 8):
-        chunk = rest[base : base + 8]
-        word = 0
-        for i, t in enumerate(chunk):
-            word |= int(t) << (28 - 4 * i)
-        for i in range(len(chunk), 8):
-            word |= FIELD_TYPE_END << (28 - 4 * i)
-        words.append(word)
-    return tuple(words)
-
-
-class SchemaCodec:
-    """Precompiled codec for one fixed-size record schema.
-
-    ``pack(event_id, *meta_words, timestamp, *values)`` produces the whole
-    record; ``unpack_from(buf, off)`` yields ``(event_id, timestamp,
-    *values)`` — the meta words are skipped with pad bytes on decode since
-    the codec was *selected* by their exact value.
-    """
-
-    __slots__ = (
-        "field_types",
-        "meta_words",
-        "size",
-        "payload_size",
-        "pack",
-        "unpack_from",
-    )
-
-    def __init__(self, field_types: Sequence[FieldType]) -> None:
-        schema = intern_schema(tuple(field_types))
-        self.field_types = schema.field_types
-        self.meta_words = compressed_meta_words(self.field_types)
-        body = "".join(_FIXED_FMT[t] for t in self.field_types)
-        enc = struct.Struct(">I" + "I" * len(self.meta_words) + "q" + body)
-        dec = struct.Struct(">I" + "4x" * len(self.meta_words) + "q" + body)
-        self.size = enc.size
-        self.payload_size = enc.size - 4 - 4 * len(self.meta_words) - 8
-        self.pack = enc.pack
-        self.unpack_from = dec.unpack_from
-
-
-_by_types: dict[tuple, SchemaCodec | None] = {}
-_by_meta: dict[int | tuple[int, ...], object] = {}
-
-
-def _meta_key(words: tuple[int, ...]) -> int | tuple[int, ...]:
-    return words[0] if len(words) == 1 else words
-
-
-def codec_for_types(field_types: tuple) -> SchemaCodec | None:
-    """The specialized codec for this schema, or ``None`` when only the
-    dynamic path applies (variable-length fields, over-wide records,
-    malformed type tuples)."""
-    codec = _by_types.get(field_types, _MISS)
-    if codec is _MISS:
-        codec = _build_for_types(field_types)
-    return codec
-
-
-def _build_for_types(field_types: tuple) -> SchemaCodec | None:
-    codec: SchemaCodec | None = None
-    if len(field_types) <= _MAX_WIRE_FIELDS:
-        try:
-            if all(t in _FIXED_FMT for t in field_types):
-                codec = SchemaCodec(field_types)
-        except (TypeError, ValueError, KeyError):
-            codec = None  # non-FieldType entries: dynamic path decides
-    if len(_by_types) < _CACHE_CAP:
-        _by_types[field_types] = codec
-        if codec is not None and len(_by_meta) < _CACHE_CAP:
-            _by_meta.setdefault(_meta_key(codec.meta_words), codec)
-    return codec
-
-
-def peek_codec(mv: memoryview, pos: int, end: int) -> SchemaCodec | None:
-    """Codec for the record starting at *pos*, or ``None`` for dynamic.
-
-    Reads only the meta word(s); any irregularity (truncation, unknown
-    nibbles, non-canonical spelling) defers to the dynamic decoder, which
-    produces the canonical accept-or-error behaviour.
-    """
-    if pos + 8 > end:
-        return None
-    word = _UNPACK_U32(mv, pos + 4)[0]
-    if (word >> 24) <= 6:
-        key: int | tuple[int, ...] = word
-    else:
-        n_ext = -(-((word >> 24) - 6) // 8)
-        if pos + 8 + 4 * n_ext > end:
-            return None
-        key = (word,) + tuple(
-            _UNPACK_U32(mv, pos + 8 + 4 * i)[0] for i in range(n_ext)
-        )
-    entry = _by_meta.get(key)
-    if entry is None:
-        entry = _build_for_meta(key)
-    return entry if type(entry) is SchemaCodec else None
-
-
-def _build_for_meta(key: int | tuple[int, ...]) -> object:
-    types = _parse_meta_words((key,) if type(key) is int else key)
-    entry: object = _DYNAMIC
-    if types is not None and compressed_meta_words(types) == (
-        (key,) if type(key) is int else key
-    ):
-        codec = codec_for_types(types)
-        if codec is not None:
-            entry = codec
-    if len(_by_meta) < _CACHE_CAP:
-        _by_meta[key] = entry
-    return entry
-
-
-def _parse_meta_words(words: tuple[int, ...]) -> tuple[FieldType, ...] | None:
-    """Decode meta words back to field types; ``None`` on any bad nibble."""
-    n = words[0] >> 24
-    types: list[FieldType] = []
-    try:
-        for i in range(min(n, 6)):
-            nib = (words[0] >> (20 - 4 * i)) & 0xF
-            if nib == FIELD_TYPE_END:
-                return None
-            types.append(FieldType(nib))
-        remaining = n - len(types)
-        for word in words[1:]:
-            for i in range(min(remaining, 8)):
-                nib = (word >> (28 - 4 * i)) & 0xF
-                if nib == FIELD_TYPE_END:
-                    return None
-                types.append(FieldType(nib))
-            remaining = n - len(types)
-    except ValueError:
-        return None
-    if remaining != 0:
-        return None
-    return tuple(types)
+#: The plan for a field-type tuple (``None`` only for a non-schema).
+codec_for_types = plan_for
+#: The plan for the wire record at a buffer position (``None``: dynamic).
+peek_codec = plan_at

@@ -42,8 +42,16 @@ if TYPE_CHECKING:
     from repro.core.filtering import FieldTest, FilterSpec
 
 from repro.core.filtering import FIELD_TEST_OPS
+from repro.core.plan import (
+    PACK_ERRORS,
+    SchemaPlan,
+    compressed_meta_words,
+    plan_at,
+    plan_for,
+    wire_payload_size,
+)
 from repro.core.records import FIELD_TYPE_END, EventRecord, FieldType
-from repro.wire import fastcodec
+from repro.util.timebase import MAX_TIMESTAMP, MIN_TIMESTAMP
 from repro.xdr import XdrDecodeError, XdrDecoder, XdrEncoder
 
 #: Protocol magic: identifies a BRISK stream and its wire version.
@@ -404,21 +412,7 @@ def _decode_field(dec: XdrDecoder, ftype: FieldType) -> int | float | str | byte
 def _encode_meta_compressed(enc: XdrEncoder, types: Sequence[FieldType]) -> None:
     """Pack the field-type list as nibbles: count byte + 6 codes in word 0,
     then 8 codes per extension word."""
-    n = len(types)
-    word = n << 24
-    for i, t in enumerate(types[:6]):
-        word |= int(t) << (20 - 4 * i)
-    enc.pack_uint(word)
-    rest = types[6:]
-    for base in range(0, len(rest), 8):
-        chunk = rest[base : base + 8]
-        word = 0
-        for i, t in enumerate(chunk):
-            word |= int(t) << (28 - 4 * i)
-        # Unused nibbles carry the end sentinel so a truncated-width bug
-        # cannot decode as X_BYTE fields.
-        for i in range(len(chunk), 8):
-            word |= FIELD_TYPE_END << (28 - 4 * i)
+    for word in compressed_meta_words(types):
         enc.pack_uint(word)
 
 
@@ -508,11 +502,10 @@ def encode_batch_records(
     """Encode a data batch message (``MsgType.BATCH``) to bytes.
 
     ``compress_meta`` and ``delta_ts`` are the §2 "tuning knobs" exercised
-    by ablations A1 and E8.  With the default knobs, runs of consecutive
-    same-schema records are emitted through the precompiled per-schema
-    codec (:mod:`repro.wire.fastcodec`) — one ``Struct.pack`` per record;
-    schemas with variable-length fields, the ablation modes, and
-    ``use_fastpath=False`` all take the seed dynamic path.  Output is
+    by ablations A1 and E8.  With the default knobs every record is emitted
+    by its schema's compiled plan (:mod:`repro.core.plan`) — one
+    ``struct`` call per run of fixed-size fields; the ablation modes and
+    ``use_fastpath=False`` take the seed dynamic path.  Output is
     byte-identical either way.  Pass a reusable *enc* (it is reset) to
     amortize buffer allocation across batches.
 
@@ -542,38 +535,18 @@ def encode_batch_records(
     if use_fastpath and compress_meta and not delta_ts:
         append = enc.append_raw
         last_types: tuple | None = None
-        codec: fastcodec.SchemaCodec | None = None
+        plan: SchemaPlan | None = None
         for record in records:
             ft = record.field_types
-            if ft != last_types:
-                codec = fastcodec.codec_for_types(ft)
+            if ft is not last_types:
+                plan = plan_for(ft)
                 last_types = ft
-            if codec is not None:
+            if plan is not None:
                 try:
-                    mw = codec.meta_words
-                    if len(mw) == 1:
-                        append(
-                            codec.pack(
-                                record.event_id,
-                                mw[0],
-                                record.timestamp,
-                                *record.values,
-                            )
-                        )
-                    else:
-                        append(
-                            codec.pack(
-                                record.event_id,
-                                *mw,
-                                record.timestamp,
-                                *record.values,
-                            )
-                        )
+                    append(plan.wire_pack(record))
                     continue
-                except (struct.error, OverflowError):
-                    # Out-of-domain value (e.g. an overflowing X_FLOAT):
-                    # re-encode dynamically for the canonical error.
-                    pass
+                except PACK_ERRORS:
+                    pass  # re-encode dynamically for the canonical error
             _encode_record_dynamic(
                 enc, record, _encode_meta_compressed, delta_ts, base_ts
             )
@@ -599,6 +572,8 @@ def _decode_record_dynamic(
     if delta_ts:
         delta = dec.unpack_int()
         ts = dec.unpack_hyper() if delta == _DELTA_ESCAPE else base_ts + delta
+        if not MIN_TIMESTAMP <= ts <= MAX_TIMESTAMP:
+            raise ProtocolError(f"delta timestamp {base_ts} + {delta} leaves int64")
     else:
         ts = dec.unpack_hyper()
     values = tuple(_decode_field(dec, t) for t in types)
@@ -626,32 +601,25 @@ def _decode_batch(
     records: list[EventRecord] = []
     append = records.append
     if use_fastpath and compress and not delta_ts:
-        # Zero-copy batch decode: whole records unpack straight out of the
-        # buffer via the cached per-schema struct; the XdrDecoder cursor is
-        # only engaged for records the cache cannot specialize.
+        # Zero-copy batch decode: each record unpacks straight out of the
+        # buffer through the plan its meta word(s) select; the XdrDecoder
+        # cursor is only engaged for records no plan takes — an unknown or
+        # non-canonical schema, or anything irregular, which the dynamic
+        # path then accepts or rejects canonically.
         mv = dec.buffer
         end = len(mv)
         pos = dec.position
-        peek = fastcodec.peek_codec
-        from_wire = EventRecord.from_wire
         for _ in range(count):
-            codec = peek(mv, pos, end)
-            if codec is not None:
+            plan = plan_at(mv, pos, end)
+            if plan is not None:
                 try:
-                    vals = codec.unpack_from(mv, pos)
-                except struct.error:
-                    codec = None  # truncated: dynamic path raises canonically
-            if codec is not None:
-                pos += codec.size
-                append(
-                    from_wire(vals[0], vals[1], codec.field_types, vals[2:], node_id)
-                )
-            else:
-                dec.seek(pos)
-                append(
-                    _decode_record_dynamic(dec, decode_meta, delta_ts, base_ts, node_id)
-                )
-                pos = dec.position
+                    pos = plan.wire_unpack(mv, pos, end, node_id, append)
+                    continue
+                except (struct.error, ValueError):
+                    pass
+            dec.seek(pos)
+            append(_decode_record_dynamic(dec, decode_meta, delta_ts, base_ts, node_id))
+            pos = dec.position
         dec.seek(pos)
     else:
         for _ in range(count):
@@ -664,13 +632,6 @@ def _decode_batch(
     )
 
 
-#: Fixed-size schemas have one wire size per (schema, knobs) — answered
-#: from here after the first computation so the EXS's per-record batch
-#: accounting costs a dict hit, not meta math plus a codec lookup.
-_WIRE_SIZE_CACHE: dict[tuple, int] = {}
-_WIRE_SIZE_CACHE_MAX = 4096
-
-
 def record_wire_size(
     record: EventRecord, *, compress_meta: bool = True, delta_ts: bool = False
 ) -> int:
@@ -678,25 +639,19 @@ def record_wire_size(
 
     Used by benchmark E8 to reproduce the paper's "each instrumentation data
     record requires 40 bytes" figure, and by the EXS's batch accounting on
-    every record — fixed-size schemas answer from the codec cache in O(1).
+    every record — with the default knobs the schema's plan answers: a
+    constant for a fixed-size schema, byte counts of its strings and
+    opaques otherwise.
     """
-    key = (record.field_types, compress_meta, delta_ts)
-    size = _WIRE_SIZE_CACHE.get(key)
-    if size is not None:
-        return size
-    n = len(record.field_types)
-    if compress_meta:
-        meta = 4 + 4 * max(0, -(-(n - 6) // 8)) if n > 6 else 4
-    else:
-        meta = 4 + 4 * n
+    types = record.field_types
+    if compress_meta and not delta_ts:
+        plan = plan_for(types)
+        if plan is not None:
+            return plan.wire_size(record.values)
+    n = len(types)
+    meta = 4 * len(compressed_meta_words(types)) if compress_meta else 4 + 4 * n
     ts = 4 if delta_ts else 8  # escape path ignored: sizes for in-range deltas
-    codec = fastcodec.codec_for_types(record.field_types)
-    if codec is not None:
-        size = 4 + meta + ts + codec.payload_size
-        if len(_WIRE_SIZE_CACHE) < _WIRE_SIZE_CACHE_MAX:
-            _WIRE_SIZE_CACHE[key] = size
-        return size
-    return 4 + meta + ts + record.schema.payload_wire_size(record.values)
+    return 4 + meta + ts + wire_payload_size(types, record.values)
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 import re
 import time
@@ -9,8 +10,15 @@ from pathlib import Path
 from typing import Any, Callable
 
 import pytest
+from hypothesis import settings
 
 from repro.core.records import EventRecord, FieldType
+
+#: ``--hypothesis-profile=ci`` caps examples for tests that leave the count
+#: to the profile (the ``property``-marked differential suites).
+settings.register_profile(
+    "ci", max_examples=int(os.environ.get("HYPOTHESIS_MAX_EXAMPLES", "25"))
+)
 
 
 def pytest_addoption(parser):

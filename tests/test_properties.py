@@ -19,6 +19,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from tests.strategies import records, text as _text
 
 from repro.core import native
 from repro.core.records import EventRecord, FieldType
@@ -27,60 +28,6 @@ from repro.core.sorting import OnlineSorter, SorterConfig
 from repro.picl.format import parse_line, picl_to_line, picl_to_record, record_to_picl
 from repro.wire import protocol
 from repro.xdr import RecordMarkingReader, XdrDecoder, XdrEncoder, frame_record
-
-# ----------------------------------------------------------------------
-# strategies
-# ----------------------------------------------------------------------
-
-_INT_RANGES = {
-    FieldType.X_BYTE: (-(2**7), 2**7 - 1),
-    FieldType.X_UBYTE: (0, 2**8 - 1),
-    FieldType.X_SHORT: (-(2**15), 2**15 - 1),
-    FieldType.X_USHORT: (0, 2**16 - 1),
-    FieldType.X_INT: (-(2**31), 2**31 - 1),
-    FieldType.X_UINT: (0, 2**32 - 1),
-    FieldType.X_HYPER: (-(2**63), 2**63 - 1),
-    FieldType.X_UHYPER: (0, 2**64 - 1),
-    FieldType.X_TS: (-(2**63), 2**63 - 1),
-    FieldType.X_REASON: (0, 2**32 - 1),
-    FieldType.X_CONSEQ: (0, 2**32 - 1),
-}
-
-# Printable text without NUL for X_STRING (the C representation is
-# null-terminated).
-_text = st.text(
-    alphabet=st.characters(blacklist_characters="\x00", codec="utf-8"),
-    max_size=40,
-)
-
-
-def field_strategy(ftype: FieldType):
-    if ftype in _INT_RANGES:
-        lo, hi = _INT_RANGES[ftype]
-        return st.integers(min_value=lo, max_value=hi)
-    if ftype is FieldType.X_FLOAT:
-        return st.floats(width=32, allow_nan=False)
-    if ftype is FieldType.X_DOUBLE:
-        return st.floats(allow_nan=False)
-    if ftype is FieldType.X_STRING:
-        return _text
-    return st.binary(max_size=40)
-
-
-@st.composite
-def records(draw, max_fields: int = 8) -> EventRecord:
-    types = draw(
-        st.lists(st.sampled_from(list(FieldType)), max_size=max_fields)
-    )
-    values = tuple(draw(field_strategy(t)) for t in types)
-    return EventRecord(
-        event_id=draw(st.integers(0, 2**32 - 1)),
-        timestamp=draw(st.integers(-(2**62), 2**62)),
-        field_types=tuple(types),
-        values=values,
-        node_id=draw(st.integers(0, 2**32 - 1)),
-    )
-
 
 # ----------------------------------------------------------------------
 # codec roundtrips

@@ -9,7 +9,7 @@ import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from tests.conftest import make_record
+from tests.conftest import make_mixed_record, make_record
 
 from repro.core import native
 from repro.core.cre import CausalMatcher, CreConfig
@@ -39,20 +39,40 @@ class TestDecoderFuzzing:
         except native.NativeCodecError:
             pass
 
-    @given(st.binary(max_size=256), st.integers(0, 255), st.integers(0, 600))
+    @given(
+        st.binary(max_size=256),
+        st.integers(0, 255),
+        st.integers(0, 600),
+        st.booleans(),
+    )
     @settings(max_examples=200)
-    def test_bitflipped_valid_batch(self, extra, flip_value, position):
+    def test_bitflipped_valid_batch(self, extra, flip_value, position, delta_ts):
+        # String/opaque fields, a wide record and (with delta_ts) a flipped
+        # base timestamp: every decoder path a bit can land in.
         encoded = bytearray(
             protocol.encode_batch_records(
-                1, 0, [make_record(), make_record(event_id=2)]
+                1, 0, [make_record(), make_mixed_record(), make_record(event_id=2)],
+                delta_ts=delta_ts,
             )
         )
         if position < len(encoded):
             encoded[position] ^= flip_value or 0xFF
         try:
             protocol.decode_message(bytes(encoded) + extra)
-        except (XdrDecodeError, protocol.ProtocolError, ValueError):
-            pass  # ValueError: a flipped field may violate record ranges
+        except XdrDecodeError:
+            pass  # ProtocolError included: the contract is structured rejection
+
+    @given(st.integers(0, 255), st.integers(0, 200), st.binary(max_size=8))
+    @settings(max_examples=200)
+    def test_bitflipped_native_record(self, flip_value, position, extra):
+        packed = bytearray(native.pack_record(make_mixed_record()))
+        native.unpack_record(bytes(packed))  # the compiled plan meets the flips
+        if position < len(packed):
+            packed[position] ^= flip_value or 0xFF
+        try:
+            native.unpack_record(bytes(packed) + extra)
+        except native.NativeCodecError:
+            pass
 
     @given(st.binary(max_size=400))
     @settings(max_examples=100)
@@ -178,3 +198,37 @@ class TestIsmPeerFailures:
         # The complete batch before the crash was delivered.
         assert manager.stats.records_received == 1
         assert server.closed_connections == 1
+
+    def test_overflowing_delta_frame_drops_only_its_connection(self):
+        """A delta-ts batch whose base + delta leaves int64 is a protocol
+        error: the server drops that peer and keeps delivering the other."""
+        from repro.core.consumers import CollectingConsumer
+        from repro.core.ism import InstrumentationManager
+        from repro.runtime.ism_proc import IsmServer
+        from repro.wire.tcp import MessageListener, connect
+
+        collected = CollectingConsumer()
+        manager = InstrumentationManager(consumers=[collected])
+        listener = MessageListener()
+        server = IsmServer(manager, listener)
+        bad, good = connect(*listener.address), connect(*listener.address)
+        bad.send(protocol.Hello(exs_id=1, node_id=1))
+        good.send(protocol.Hello(exs_id=2, node_id=2))
+        frame = bytearray(
+            protocol.encode_batch_records(
+                1, 0, [make_record(timestamp=1_000), make_record(timestamp=1_005)],
+                delta_ts=True,
+            )
+        )
+        frame[24:32] = (2**63 - 1).to_bytes(8, "big")  # base_ts: +5 overflows
+        bad.send_raw(bytes(frame))
+        for seq in range(3):
+            good.send_raw(
+                protocol.encode_batch_records(2, seq, [make_record(timestamp=2_000 + seq)])
+            )
+        good.close()
+        server.serve(duration_s=10.0, expected_connections=2)
+        listener.close()
+        bad.close()
+        assert server.closed_connections == 2
+        assert [r.node_id for r in collected.records] == [2, 2, 2]
