@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.clocksync.clocks import CorrectedClock
 from repro.core import native
-from repro.core.filtering import FilterState
 from repro.core.predicate import CompiledFilterState
 from repro.core.records import EventRecord
 from repro.core.ringbuffer import RingBuffer
@@ -118,10 +117,9 @@ class ExternalSensor:
         self.clock = clock
         self.config = config
         self.stats = ExsStats()
-        #: Source-side filter pushed down by the ISM (None = keep all).
-        #: Installed via :meth:`on_set_filter` as a compiled predicate;
-        #: a plain :class:`FilterState` is also honored (post-decode).
-        self.filter: CompiledFilterState | FilterState | None = None
+        #: Source-side filter pushed down by the ISM (None = keep all),
+        #: installed via :meth:`on_set_filter` as a compiled predicate.
+        self.filter: CompiledFilterState | None = None
         #: Version of the installed filter (0 = none / legacy install).
         #: Epochs make the ISM's re-apply-on-reconnect idempotent: a
         #: re-sent spec neither resets sampling counters nor can an
@@ -206,16 +204,9 @@ class ExternalSensor:
         # Hot-loop hoists: attribute lookups and config reads happen once
         # per poll, not once per record.
         node_id = self.node_id
-        record_filter = self.filter
-        # A compiled filter decides on the packed payload *before* decode
-        # (a dropped record never pays decode/correction/encode); a plain
-        # FilterState decides on the decoded record, as before.
-        admit_payload = (
-            record_filter.admit_payload
-            if isinstance(record_filter, CompiledFilterState)
-            else None
-        )
-        admit_record = record_filter.admit if admit_payload is None and record_filter is not None else None
+        # The filter decides on the packed payload *before* decode: a
+        # dropped record never pays decode/correction/encode.
+        admit_payload = None if self.filter is None else self.filter.admit_payload
         config = self.config
         compress_meta = config.compress_meta
         delta_ts = config.delta_ts
@@ -233,9 +224,6 @@ class ExternalSensor:
             # overhead here.  X_TS user fields shift with the timestamp
             # inside the fused decoder.
             corrected = unpack_stamped(payload, node_id, correction)
-            if admit_record is not None and not admit_record(corrected):
-                self.stats.records_filtered += 1
-                continue
             self._pending.append(corrected)
             # The record's plan answers: a constant per fixed-size schema,
             # the byte counts of its strings/opaques otherwise.
@@ -354,27 +342,3 @@ class ExternalSensor:
             self.filter_epoch = epoch
         spec = msg.to_spec()
         self.filter = None if spec.is_pass_through else CompiledFilterState(spec)
-
-
-def run_exs_loop(
-    exs: ExternalSensor,
-    send: Callable[[bytes], None],
-    should_stop: Callable[[], bool],
-    sleep: Callable[[float], None],
-    poll_interval_s: float = 0.040,
-) -> None:
-    """Reference EXS driver loop for real deployments.
-
-    Polls at *poll_interval_s* (defaulting to the 40 ms ``select`` wait the
-    paper measured as the worst-case latency floor), shipping each encoded
-    batch through *send*.  Extracted as a function so the multiprocessing
-    runtime and the tests drive identical logic.
-    """
-    while not should_stop():
-        batches = exs.poll()
-        for encoded in batches:
-            send(encoded)
-        if not batches:
-            sleep(poll_interval_s)
-    for encoded in exs.flush():
-        send(encoded)

@@ -49,6 +49,7 @@ ZONE_PREFIXES = (
 ZONE_FILES = (
     "src/repro/runtime/plane.py",
     "src/repro/runtime/relay_proc.py",
+    "src/repro/runtime/uplink.py",
 )
 #: Zone files exempted wholesale, with the reason on record here.
 ZONE_EXEMPT = {

@@ -36,6 +36,7 @@ SCOPE_SUFFIXES = (
     "src/repro/runtime/plane.py",
     "src/repro/runtime/relay_proc.py",
     "src/repro/runtime/shard.py",
+    "src/repro/runtime/uplink.py",
     "src/repro/wire/tcp.py",
 )
 

@@ -226,7 +226,7 @@ def wire_relay(registry: MetricsRegistry, relay: Any, prefix: str = "relay") -> 
     registry.gauge_fn(f"{prefix}.unacked_frames", lambda: relay.unacked_frames)
     registry.gauge_fn(
         f"{prefix}.upstream_connected",
-        lambda: 1 if relay.upstream is not None else 0,
+        lambda: 1 if relay.uplink.conn is not None else 0,
     )
 
 

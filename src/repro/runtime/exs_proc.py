@@ -7,30 +7,15 @@ paper's EXS: a ``select`` wait bounded at 40 ms is both the idle sleep and
 the control-message poll, which is exactly why the paper's worst-case
 record latency bottoms out at the select timeout (benchmark E4).
 
-On top of the paper's transport the runtime adds end-to-end delivery
-guarantees: every encoded batch is parked in a bounded in-flight
-:class:`ExsOutbox` until the ISM's cumulative :class:`~repro.wire.
-protocol.Ack` covers it, a reconnect replays the ``Hello`` →
-``HelloReply`` resume handshake and retransmits everything still unacked,
-and a stalled acknowledgment stream (``ack_timeout_s``) forces a
-reconnect instead of letting a hung peer strand the outbox.  The ring
-buffer remains the durability layer behind the outbox: while the outbox
-is full the EXS simply stops draining, so un-shipped records wait in
-shared memory rather than in unbounded process heap.
+The delivery guarantees the runtime adds — outbox, ack, resume and
+retransmit, the ack deadline — are the
+:class:`~repro.runtime.uplink.Uplink`'s; the ring stays the buffer behind
+them (a full outbox stops the drain).  Pointing *host*/*port* at a relay
+(:mod:`repro.runtime.relay_proc`) instead of the ISM needs no change.
 
 ``exs_process_main`` is the ``multiprocessing.Process`` target used by the
 examples and the real-socket benchmarks; :class:`ExsProcess` is the same
 loop as an object for in-process use (threads, tests).
-
-**Connect-via-relay:** a relay (:mod:`repro.runtime.relay_proc`) speaks
-this exact protocol on its downstream side, so pointing *host*/*port* at
-a relay instead of the ISM needs no EXS-side changes — acks and resume
-points quoted by the relay are upstream-committed, so the delivery
-guarantees hold through the tree.  The optional extras are negotiated:
-*compress_min_bytes* turns on zlib frame compression once the receiving
-peer's ``HelloReply`` advertises ``CAP_COMPRESS``, and a peer that acks
-many sources at once may answer with ``AckBundle`` control frames, which
-this loop consumes like individual acks.
 """
 
 from __future__ import annotations
@@ -38,103 +23,122 @@ from __future__ import annotations
 import random
 import threading
 import time
-from collections import deque
-from dataclasses import replace
+from typing import Callable
 
 from repro.clocksync.clocks import CorrectedClock
 from repro.core.exs import ExsConfig, ExternalSensor
-from repro.obs.metrics import Counter
 from repro.runtime.shm import attach_shared_ring
+from repro.runtime.uplink import ExsOutbox, Uplink
 from repro.util.timebase import now_micros
 from repro.wire import protocol
-from repro.wire.tcp import ConnectionClosed, MessageConnection, connect
-
-#: Exceptions that mean "the peer (or the path to it) is gone".
-_PEER_LOST = (ConnectionClosed, BrokenPipeError, ConnectionResetError, OSError)
+from repro.wire.tcp import MessageConnection, connect
 
 
-class ExsOutbox:
-    """Bounded window of encoded-but-unacknowledged batches.
-
-    Entries are ``(seq, payload)`` in strictly increasing seq order; the
-    ISM's acks are cumulative, so :meth:`ack` pops a prefix.  The outbox
-    outlives any single connection — :class:`ReconnectingExs` hands the
-    same instance to every session so unacked batches survive the socket
-    they were first sent on.
-
-    ``depth`` is a soft bound: the pump stops *draining the ring* once the
-    outbox is full, but a single poll may overshoot by one poll's worth of
-    batches (the ring, not the outbox, is the backpressure buffer).
+class _ExsSender:
+    """What an EXS does with its uplink: drain and ship, answer sync
+    probes, install pushed filters, stop on ``Bye``, shut down cleanly.
+    The runners below differ only in where connections come from.
     """
 
-    def __init__(self, depth: int = 64) -> None:
-        if depth < 1:
-            raise ValueError("outbox depth must be >= 1")
-        self.depth = depth
-        self._entries: deque[tuple[int, bytes]] = deque()
-        #: Batches released by acks since start (int-like counter).
-        self.acked_batches = Counter("outbox.acked_batches")
-        #: Payloads re-sent by resume retransmission (int-like counter).
-        self.retransmitted_batches = Counter("outbox.retransmitted_batches")
+    def __init__(
+        self,
+        exs: ExternalSensor,
+        uplink: Uplink,
+        select_timeout_s: float,
+        outbox: ExsOutbox,
+        reporter=None,
+    ) -> None:
+        self.exs = exs
+        self.uplink = uplink
+        self.select_timeout_s = select_timeout_s
+        #: In-flight batches, shared by every session the runner opens.
+        self.outbox = outbox
+        #: Optional MetricsReporter writing into this EXS's ring (ticked per loop).
+        self.reporter = reporter
+        self._stop = threading.Event()
 
-    def __len__(self) -> int:
-        return len(self._entries)
+    def stop(self) -> None:
+        """Ask the loop to flush and exit."""
+        self._stop.set()
 
-    @property
-    def unacked(self) -> int:
-        """Batches currently in flight (sent, not yet acked)."""
-        return len(self._entries)
+    def _session(self) -> None:
+        """One connection's life, until peer loss or stop (then shutdown)."""
+        uplink = self.uplink
+        exs_id = self.exs.exs_id
+        reporter = self.reporter
+        while not self._stop.is_set() and uplink.conn is not None:
+            if reporter is not None:
+                reporter.maybe_emit(now_micros())
+            # Nothing ships before the source's resume.
+            shipped = exs_id in uplink.ready and self._pump_data()
+            # Idle or not, poll the control path; when idle this is also
+            # the 40 ms select sleep.
+            self._control(0.0 if shipped else self.select_timeout_s)
+        if uplink.conn is not None:
+            self._shutdown()
 
-    @property
-    def full(self) -> bool:
-        """Whether the pump should stop draining the ring."""
-        return len(self._entries) >= self.depth
+    def _pump_data(self) -> bool:
+        if self.outbox.full:
+            return False  # backpressure: records wait in the ring
+        batches = self.exs.poll()
+        if batches:
+            self._ship(batches)
+        return bool(batches)
 
-    def append(self, seq: int, payload: bytes) -> None:
-        """Park one just-sent batch until an ack covers it."""
-        if self._entries and seq <= self._entries[-1][0]:
-            raise ValueError(
-                f"outbox seqs must increase: {seq} after {self._entries[-1][0]}"
-            )
-        self._entries.append((seq, payload))
+    def _ship(self, payloads: list[bytes]) -> None:
+        first_seq = self.exs.next_seq - len(payloads)
+        self.uplink.send(
+            [(self.exs.exs_id, first_seq + i, p) for i, p in enumerate(payloads)]
+        )
 
-    def ack(self, up_to_seq: int) -> int:
-        """Release every entry with ``seq <= up_to_seq``; returns count."""
-        released = 0
-        entries = self._entries
-        while entries and entries[0][0] <= up_to_seq:
-            entries.popleft()
-            released += 1
-        self.acked_batches += released
-        return released
+    def _control(self, timeout_s: float) -> None:
+        uplink = self.uplink
+        exs = self.exs
+        uplink.tick()
+        for msg in uplink.receive(timeout_s):
+            if isinstance(msg, protocol.TimeRequest):
+                uplink.send_control(exs.on_time_request(msg))
+            elif isinstance(msg, protocol.Adjust):
+                exs.on_adjust(msg)
+            elif isinstance(msg, protocol.SetFilter):
+                exs.on_set_filter(msg)
+            elif isinstance(msg, protocol.Bye):
+                self._stop.set()
+                break
+        if uplink.resumed:
+            uplink.resumed.clear()
+            # Adopt the peer's watermark, so fresh batches are not taken
+            # for retransmits of delivered ones after a restart.
+            exs.resume_from(uplink.confirmed[exs.exs_id] + 1)
 
-    def pending_payloads(self) -> list[bytes]:
-        """Unacked payloads in seq order (the retransmission set)."""
-        return [payload for _, payload in self._entries]
+    def _shutdown(self) -> None:
+        """Flush the ring, wait for the acks, then say Bye: a clean stop
+        is loss-free end to end.  The flushed batches wait for the
+        source's resume like any others; the reply timeout, then the ack
+        deadline, bound the wait."""
+        payloads = self.exs.flush()
+        if payloads:
+            self._ship(payloads)
+        uplink = self.uplink
+        exs_id = self.exs.exs_id
+        while uplink.conn is not None and (
+            exs_id not in uplink.ready
+            or (uplink.ack_timeout_s is not None and self.outbox.unacked)
+        ):
+            self._control(self.select_timeout_s)
+        uplink.close("exs stop")
 
-    def pending_seqs(self) -> list[int]:
-        """Unacked batch sequence numbers, in order."""
-        return [seq for seq, _ in self._entries]
 
+class ExsProcess(_ExsSender):
+    """Drive one external sensor over one live ISM connection.
 
-class ExsProcess:
-    """Drive one external sensor against a live ISM connection.
-
-    *outbox* holds encoded batches until acked (a fresh one is created
-    when not given; pass a shared instance to keep in-flight state across
-    reconnects).  *resume* runs the Hello/HelloReply handshake and
-    retransmits unacked batches before the main loop.  *ack_timeout_s*
-    bounds how long the outbox may sit unacked with no progress before
-    the connection is declared hung (None disables).
-    *heartbeat_interval_s* keeps an idle connection visibly alive for the
-    ISM's idle-deadline sweep (None disables).
-
-    *compress_min_bytes* opts into frame compression: encoded batches at
-    or above the threshold are wrapped in ``MsgType.COMPRESSED`` — but
-    only after the peer's ``HelloReply`` advertised ``CAP_COMPRESS``
-    (legacy peers keep seeing byte-identical traffic).  Compressed
-    payloads are parked compressed in the outbox so retransmits are
-    byte-exact.
+    *outbox* holds batches until acked (fresh when not given).  *resume*
+    waits for the ``HelloReply`` (at most *hello_reply_timeout_s*) before
+    shipping; without it batches flow at once.  *ack_timeout_s* declares a
+    peer that stopped acking hung, *heartbeat_interval_s* keeps an idle
+    connection alive for the ISM's idle sweep (None disables either).
+    *compress_min_bytes* compresses batches at or above it once the peer's
+    reply advertised ``CAP_COMPRESS``.
     """
 
     def __init__(
@@ -151,228 +155,41 @@ class ExsProcess:
         compress_min_bytes: int | None = None,
         reporter=None,
     ) -> None:
-        if ack_timeout_s is not None and ack_timeout_s <= 0:
-            raise ValueError("ack_timeout_s must be positive or None")
-        if heartbeat_interval_s is not None and heartbeat_interval_s <= 0:
-            raise ValueError("heartbeat_interval_s must be positive or None")
-        self.exs = exs
+        caps = protocol.CAP_STEERING  # compression bits only when asked for
+        if compress_min_bytes is not None:
+            caps |= protocol.CAP_COMPRESS | protocol.CAP_ACK_BUNDLE
+        uplink = Uplink(
+            caps,
+            heartbeat_id=exs.exs_id,
+            ack_timeout_s=ack_timeout_s,
+            heartbeat_interval_s=heartbeat_interval_s,
+            hello_reply_timeout_s=hello_reply_timeout_s if resume else 0.0,
+            compress_min_bytes=compress_min_bytes,
+        )
+        outbox = outbox if outbox is not None else ExsOutbox()
+        super().__init__(exs, uplink, select_timeout_s, outbox, reporter)
         self.conn = conn
-        self.select_timeout_s = select_timeout_s
-        self.outbox = outbox if outbox is not None else ExsOutbox()
-        self.resume = resume
-        self.ack_timeout_s = ack_timeout_s
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self.hello_reply_timeout_s = hello_reply_timeout_s
-        self.compress_min_bytes = compress_min_bytes
-        #: Capability bits the peer's HelloReply advertised.
-        self._server_caps = 0
-        #: Optional :class:`repro.obs.reporter.MetricsReporter` whose
-        #: sensor writes into this EXS's ring: each loop iteration gives
-        #: it a chance to emit, so the node's own health records ride the
-        #: same drain→batch→ship path as application events.
-        self.reporter = reporter
-        if reporter is not None and self.exs.metrics is not None:
+        if reporter is not None and exs.metrics is not None:
             from repro.obs import collect
 
-            collect.wire_outbox(self.exs.metrics, self.outbox)
-            collect.wire_connection(self.exs.metrics, conn)
-        self._stop = threading.Event()
-        self._last_ack_progress = time.monotonic()
-        self._last_send = time.monotonic()
-
-    def stop(self) -> None:
-        """Ask the loop to flush and exit."""
-        self._stop.set()
+            collect.wire_outbox(exs.metrics, outbox)
+            collect.wire_connection(exs.metrics, conn)
 
     def run(self) -> None:
         """The EXS main loop; returns after a stop request or peer close."""
-        try:
-            # Advertise ack consumption: this loop always drains control
-            # traffic, so the ISM may safely write replies and acks back.
-            # Steering capability always rides (this loop understands
-            # epoch-stamped SetFilter with pushed-down field tests);
-            # compression bits only when compression was asked for.
-            caps = protocol.CAP_STEERING | (
-                protocol.CAP_COMPRESS | protocol.CAP_ACK_BUNDLE
-                if self.compress_min_bytes is not None
-                else 0
-            )
-            self.conn.send(
-                replace(self.exs.hello(), wants_ack=True, capabilities=caps)
-            )
-            self._last_send = time.monotonic()
-            if self.resume:
-                self._resume_session()
-            self._last_ack_progress = time.monotonic()
-            reporter = self.reporter
-            while not self._stop.is_set():
-                if reporter is not None:
-                    reporter.maybe_emit(now_micros())
-                shipped = self._pump_data()
-                self._maybe_heartbeat()
-                self._check_ack_deadline()
-                # Idle or not, poll the control path; when idle this is
-                # also the 40 ms select sleep.
-                timeout = 0.0 if shipped else self.select_timeout_s
-                self._pump_control(timeout)
-            self._shutdown_flush()
-        except _PEER_LOST:
-            pass  # ISM went away; unacked batches stay in the outbox
-
-    # ------------------------------------------------------------------
-    def _resume_session(self) -> None:
-        """Wait for the HelloReply resume point, then retransmit.
-
-        A legacy ISM that never answers degrades gracefully: after
-        ``hello_reply_timeout_s`` every unacked batch is retransmitted
-        anyway (at-least-once; the upgraded ISM's dedup restores
-        exactly-once).
-        """
-        deadline = time.monotonic() + self.hello_reply_timeout_s
-        reply: protocol.HelloReply | None = None
-        while reply is None and not self._stop.is_set():
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            msg = self.conn.recv(timeout=min(self.select_timeout_s, remaining))
-            if msg is None:
-                continue
-            if isinstance(msg, protocol.HelloReply):
-                reply = msg
-            else:
-                self._handle_control(msg)
-        if reply is not None:
-            self._server_caps = reply.capabilities
-        if reply is not None and reply.last_seq >= 0:
-            self.outbox.ack(reply.last_seq)
-            # A restarted EXS adopts the ISM's watermark so fresh batches
-            # are not mistaken for retransmits of delivered ones.
-            self.exs.resume_from(reply.last_seq + 1)
-        pending = self.outbox.pending_payloads()
-        if pending:
-            self.conn.send_many(pending)
-            self.outbox.retransmitted_batches += len(pending)
-            self._last_send = time.monotonic()
-
-    def _pump_data(self) -> bool:
-        if self.outbox.full:
-            # Backpressure: leave records in the ring until acks free a
-            # slot.  Still return False so the control pump sleeps and
-            # gives the ack a chance to arrive.
-            return False
-        batches = self.exs.poll()
-        if batches:
-            batches = self._prepare_payloads(batches)
-            first_seq = self.exs.next_seq - len(batches)
-            for i, payload in enumerate(batches):
-                self.outbox.append(first_seq + i, payload)
-            # All of this poll's batches leave in one vectored send.
-            self.conn.send_many(batches)
-            self._last_send = time.monotonic()
-        return bool(batches)
-
-    def _prepare_payloads(self, batches: list[bytes]) -> list[bytes]:
-        """Apply negotiated frame compression to outgoing batch payloads."""
-        threshold = self.compress_min_bytes
-        if threshold is None or not self._server_caps & protocol.CAP_COMPRESS:
-            return batches
-        out: list[bytes] = []
-        for payload in batches:
-            if len(payload) >= threshold:
-                wrapped = protocol.compress_frame(payload)
-                if len(wrapped) < len(payload):
-                    payload = wrapped
-            out.append(payload)
-        return out
-
-    def _pump_control(self, timeout: float) -> None:
-        msg = self.conn.recv(timeout=timeout)
-        while msg is not None:
-            self._handle_control(msg)
-            if self._stop.is_set():
-                return
-            msg = self.conn.recv(timeout=0.0)
-
-    def _handle_control(self, msg: protocol.Message) -> None:
-        if isinstance(msg, protocol.Ack):
-            if self.outbox.ack(msg.up_to_seq):
-                self._last_ack_progress = time.monotonic()
-        elif isinstance(msg, protocol.AckBundle):
-            # A multiplexing peer acks per cycle, not per source; only
-            # this sensor's entry applies here.
-            for exs_id, up_to_seq in msg.acks:
-                if exs_id == self.exs.exs_id and self.outbox.ack(up_to_seq):
-                    self._last_ack_progress = time.monotonic()
-        elif isinstance(msg, protocol.TimeRequest):
-            self.conn.send(self.exs.on_time_request(msg))
-            self._last_send = time.monotonic()
-        elif isinstance(msg, protocol.Adjust):
-            self.exs.on_adjust(msg)
-        elif isinstance(msg, protocol.SetFilter):
-            self.exs.on_set_filter(msg)
-        elif isinstance(msg, protocol.HelloReply):
-            # Late duplicate; the resume handshake already ran.  Still
-            # adopt the capability bits in case the reply raced past it.
-            self._server_caps = msg.capabilities
-        elif isinstance(msg, protocol.Bye):
-            self._stop.set()
-
-    def _maybe_heartbeat(self) -> None:
-        interval = self.heartbeat_interval_s
-        if interval is None:
-            return
-        now = time.monotonic()
-        if now - self._last_send >= interval:
-            self.conn.send(protocol.Heartbeat(exs_id=self.exs.exs_id))
-            self._last_send = now
-
-    def _check_ack_deadline(self) -> None:
-        if self.ack_timeout_s is None or not self.outbox.unacked:
-            self._last_ack_progress = time.monotonic()
-            return
-        if time.monotonic() - self._last_ack_progress > self.ack_timeout_s:
-            # The peer is reachable enough to keep the socket open but has
-            # stopped admitting: treat it as hung and force a reconnect.
-            raise ConnectionClosed(
-                f"no ack progress in {self.ack_timeout_s}s with "
-                f"{self.outbox.unacked} batches in flight"
-            )
-
-    def _shutdown_flush(self) -> None:
-        """Flush the ring, wait (bounded) for the acks, then say Bye."""
-        payloads = self.exs.flush()
-        if payloads:
-            first_seq = self.exs.next_seq - len(payloads)
-            for i, payload in enumerate(payloads):
-                self.outbox.append(first_seq + i, payload)
-            self.conn.send_many(payloads)
-        # Confirmed shutdown: give the ISM one ack window to cover the
-        # tail so a clean stop is loss-free end to end.  A peer that never
-        # acks (legacy, or already gone) just costs the timeout.
-        if self.outbox.unacked and self.ack_timeout_s is not None:
-            deadline = time.monotonic() + self.ack_timeout_s
-            while self.outbox.unacked and time.monotonic() < deadline:
-                msg = self.conn.recv(timeout=self.select_timeout_s)
-                while msg is not None:
-                    self._handle_control(msg)
-                    msg = self.conn.recv(timeout=0.0)
-        self.conn.send(protocol.Bye(reason="exs stop"))
+        self.uplink.add_source(self.exs.hello(), self.outbox)
+        self.uplink.open(self.conn)
+        self._session()
 
 
-class ReconnectingExs:
+class ReconnectingExs(_ExsSender):
     """Run an EXS with automatic reconnection and resumable delivery.
 
-    The ring buffer is the durability layer for unpolled records: while
-    the ISM is unreachable the application keeps writing (until the ring
-    fills and drops, counted), and on reconnect the EXS resumes draining.
-    The shared :class:`ExsOutbox` is the durability layer for records
-    already drained: batches the old socket never got acked are
-    retransmitted on the new one after the ``HelloReply`` resume
-    handshake, so a connection drop mid-flight loses nothing.
-
-    Reconnect backoff uses *decorrelated jitter* (each delay drawn
-    uniformly from ``[backoff_s, 3 × previous]``, capped) so N sensors
-    orphaned by one ISM restart do not hammer it back in lockstep.
+    While the ISM is unreachable the ring keeps what is written (until it
+    fills and drops, counted) and the outbox what was drained but not
+    acked.  Redials back off by decorrelated jitter from *jitter_rng*,
+    between *backoff_s* and *max_backoff_s*; *max_attempts* consecutive
+    failures (a session shorter than *backoff_s* is one) end :meth:`run`.
     """
 
     def __init__(
@@ -383,7 +200,6 @@ class ReconnectingExs:
         select_timeout_s: float = 0.040,
         max_attempts: int = 10,
         backoff_s: float = 0.2,
-        backoff_factor: float = 2.0,
         max_backoff_s: float = 5.0,
         *,
         outbox_depth: int = 64,
@@ -391,82 +207,32 @@ class ReconnectingExs:
         heartbeat_interval_s: float | None = 1.0,
         jitter_rng: random.Random | None = None,
     ) -> None:
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        self.exs = exs
-        self.host = host
-        self.port = port
-        self.select_timeout_s = select_timeout_s
-        self.max_attempts = max_attempts
-        self.backoff_s = backoff_s
-        self.backoff_factor = backoff_factor
-        self.max_backoff_s = max_backoff_s
-        self.ack_timeout_s = ack_timeout_s
-        self.heartbeat_interval_s = heartbeat_interval_s
-        #: In-flight batches shared across every session this runner opens.
-        self.outbox = ExsOutbox(outbox_depth)
-        self._rng = jitter_rng if jitter_rng is not None else random.Random()
-        self._stop = threading.Event()
-        #: Successful connections established (int-like counter).
-        self.connections = Counter("wire.connections_established")
-        #: Failed connection attempts (int-like counter).
-        self.failed_attempts = Counter("wire.failed_attempts")
-
-    def stop(self) -> None:
-        """Stop after the current session (and stop retrying)."""
-        self._stop.set()
-
-    def _next_backoff(self, delay: float) -> float:
-        """Decorrelated jitter (AWS style): uniform in [base, 3·prev]."""
-        return min(
-            self.max_backoff_s,
-            self._rng.uniform(self.backoff_s, max(self.backoff_s, delay * 3)),
+        uplink = Uplink(
+            protocol.CAP_STEERING,
+            heartbeat_id=exs.exs_id,
+            ack_timeout_s=ack_timeout_s,
+            heartbeat_interval_s=heartbeat_interval_s,
+            host=host,
+            port=port,
+            rng=jitter_rng if jitter_rng is not None else random.Random(),
+            backoff_s=backoff_s,
+            max_backoff_s=max_backoff_s,
+            max_attempts=max_attempts,
         )
+        # The outbox may be replaced until run() hands it to the uplink.
+        super().__init__(exs, uplink, select_timeout_s, ExsOutbox(outbox_depth))
+        self.connections = uplink.connections
+        self.failed_attempts = uplink.failed_attempts
 
     def run(self) -> None:
         """Connect-run-reconnect until stopped or attempts exhausted."""
-        delay = self.backoff_s
-        attempts = 0
-        while not self._stop.is_set() and attempts < self.max_attempts:
-            try:
-                conn = connect(self.host, self.port)
-            except OSError:
-                attempts += 1
-                self.failed_attempts += 1
-                # brisk-lint: disable=BRK601 (reconnect backoff: no peer, nothing to pump)
-                time.sleep(min(delay, self.max_backoff_s))
-                delay = self._next_backoff(delay)
-                continue
-            self.connections += 1
-            session_start = time.monotonic()
-            proc = ExsProcess(
-                self.exs,
-                conn,
-                self.select_timeout_s,
-                outbox=self.outbox,
-                resume=True,
-                ack_timeout_s=self.ack_timeout_s,
-                heartbeat_interval_s=self.heartbeat_interval_s,
-            )
-            # Share the stop flag so an outer stop() ends the inner loop.
-            proc._stop = self._stop  # noqa: SLF001 - deliberate wiring
-            try:
-                proc.run()
-            finally:
-                conn.close()
-            # proc.run() returns on stop or on peer loss.  A session that
-            # died faster than one backoff period counts as a failed
-            # attempt — a proxy or half-up peer that accepts and instantly
-            # drops would otherwise drive a zero-delay reconnect spin.
-            if time.monotonic() - session_start < self.backoff_s:
-                attempts += 1
-                if not self._stop.is_set():
-                    # brisk-lint: disable=BRK601 (post-session backoff: conn closed)
-                    time.sleep(min(delay, self.max_backoff_s))
-                delay = self._next_backoff(delay)
+        uplink = self.uplink
+        uplink.add_source(self.exs.hello(), self.outbox)
+        while not self._stop.is_set() and not uplink.exhausted:
+            if uplink.dial():
+                self._session()
             else:
-                attempts = 0
-                delay = self.backoff_s
+                self._stop.wait(uplink.dial_in())  # the backoff; stop() cuts it
 
 
 def exs_process_main(
@@ -489,18 +255,11 @@ def exs_process_main(
     try:
         clock = CorrectedClock(now_micros)
         exs = ExternalSensor(exs_id, node_id, shared.ring, clock, config)
-        conn = connect(host, port)
-        proc = ExsProcess(exs, conn, select_timeout_s)
-        if stop_when_drained_records is None:
-            proc.run()
-        else:
-            threading.Thread(
-                target=_stop_after,
-                args=(proc, exs, stop_when_drained_records),
-                daemon=True,
-            ).start()
-            proc.run()
-        conn.close()
+        proc = ExsProcess(exs, connect(host, port), select_timeout_s)
+        target = stop_when_drained_records
+        if target is not None:
+            _stop_when(proc, lambda: exs.stats.records_shipped >= target)
+        proc.run()
     finally:
         shared.close()
 
@@ -543,28 +302,24 @@ def resilient_exs_main(
             outbox_depth=outbox_depth,
             ack_timeout_s=ack_timeout_s,
         )
-        if stop_when_acked_records is not None:
-            threading.Thread(
-                target=_stop_when_acked,
-                args=(runner, exs, stop_when_acked_records),
-                daemon=True,
-            ).start()
+        target = stop_when_acked_records
+        if target is not None:
+            _stop_when(
+                runner,
+                lambda: exs.stats.records_shipped >= target
+                and not runner.outbox.unacked,
+            )
         runner.run()
     finally:
         shared.close()
 
 
-def _stop_after(proc: ExsProcess, exs: ExternalSensor, target: int) -> None:
-    while exs.stats.records_shipped < target:
-        time.sleep(0.005)
-    proc.stop()
+def _stop_when(runner: _ExsSender, done: Callable[[], bool]) -> None:
+    """Stop *runner* from a watcher thread once *done* holds."""
 
+    def watch() -> None:
+        while not done():
+            time.sleep(0.005)
+        runner.stop()
 
-def _stop_when_acked(
-    runner: ReconnectingExs, exs: ExternalSensor, target: int
-) -> None:
-    while not (
-        exs.stats.records_shipped >= target and runner.outbox.unacked == 0
-    ):
-        time.sleep(0.005)
-    runner.stop()
+    threading.Thread(target=watch, daemon=True).start()

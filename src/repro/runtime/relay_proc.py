@@ -29,14 +29,13 @@ throughput multiplier on the way through:
   associative ``HistogramSnapshot.merge``), so superseded snapshots are
   folded away instead of forwarded.
 
-Delivery guarantees chain hop by hop.  Per source the relay keeps an
-:class:`~repro.runtime.exs_proc.ExsOutbox` of coalesced upstream frames
-and an *admitted* watermark seeded from the upstream ``HelloReply`` and
-advanced by upstream acks; downstream acks quote only that watermark, so
-a relay crash loses nothing an EXS was told is safe — the EXS retransmits
-and the relay (or the ISM behind it) dedups.  A downstream ``Hello`` is
-answered only after the relay's forwarded ``Hello`` got its upstream
-reply, so resume points are always upstream-committed.
+Delivery guarantees chain hop by hop.  Upstream, the relay is the second
+owner of the EXS's :class:`~repro.runtime.uplink.Uplink`, carrying every
+source with its own outbox of coalesced frames.  Downstream acks quote
+only what the upstream confirmed, so a relay crash loses nothing an EXS
+was told is safe (the EXS retransmits; the relay or the ISM dedups), and
+a downstream ``Hello`` is answered only once the forwarded one got its
+upstream reply.
 
 Clock sync terminates at the relay: it answers upstream ``TimeRequest``
 probes with its own corrected clock and drops ``Adjust`` rather than
@@ -50,6 +49,7 @@ their exactly-once re-apply semantics across relay hops.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -57,12 +57,19 @@ from repro.core.merge import OrderedMerger
 from repro.core.records import EventRecord
 from repro.obs.metrics import Counter
 from repro.obs.reporter import METRICS_EVENT_ID
-from repro.runtime.exs_proc import _PEER_LOST, ExsOutbox
 from repro.runtime.plane import PLANE_CAPS, ConnectionPlane
+from repro.runtime.uplink import ExsOutbox, Uplink
 from repro.util.timebase import monotonic_s, now_micros
 from repro.wire import protocol
-from repro.wire.tcp import MessageConnection, MessageListener, connect
+from repro.wire.tcp import MessageConnection, MessageListener
 from repro.xdr import XdrDecodeError, XdrEncoder
+
+
+#: Upstream redial backoff (jittered, from 50 ms up to 1 s): a relay
+#: fronts a whole subtree, so it redials sooner than an EXS.  The uplink's
+#: other timers are its defaults.
+UPSTREAM_BACKOFF_S = 0.05
+UPSTREAM_MAX_BACKOFF_S = 1.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,7 +93,7 @@ class RelayConfig:
     #: Target upper bound for one coalesced frame's payload bytes.
     batch_max_bytes: int = 256 * 1024
     #: Per-source bound on coalesced-but-unacked upstream frames (soft,
-    #: like :class:`~repro.runtime.exs_proc.ExsOutbox`).
+    #: like :class:`~repro.runtime.uplink.ExsOutbox`).
     outbox_depth: int = 256
     #: Per-source bound on decoded envelopes awaiting flush; beyond it the
     #: source's socket is excluded from select (read backpressure).
@@ -96,13 +103,6 @@ class RelayConfig:
     compress_min_bytes: int | None = None
     #: Fold superseded 0xB0B5 metric snapshots inside coalesced frames.
     reduce_metrics: bool = False
-    #: Idle upstream heartbeat cadence (None disables).
-    heartbeat_interval_s: float | None = 1.0
-    #: Upstream reconnect backoff (deterministic doubling, capped).
-    reconnect_backoff_s: float = 0.05
-    max_backoff_s: float = 1.0
-    #: One upstream connect attempt's timeout.
-    connect_timeout_s: float = 0.5
 
     def __post_init__(self) -> None:
         if self.flush_interval_s <= 0:
@@ -152,12 +152,6 @@ class _Source:
     source's *connection* is, wants and can decode is the plane's."""
 
     exs_id: int
-    #: The source's latest Hello (node id, advertised rate), re-sent
-    #: upstream on every upstream (re)connect.
-    hello: protocol.Hello
-    #: Upstream-committed watermark (from upstream HelloReply + acks);
-    #: the only value ever quoted downstream.
-    admitted: int = -1
     #: Highest original seq accepted into the merge/outbox this upstream
     #: session: the relay owns delivery for seqs at or below it, so
     #: downstream retransmits of them are dropped (the outbox retransmits
@@ -165,8 +159,6 @@ class _Source:
     enqueued: int = -1
     #: Highest watermark already quoted downstream (suppress no-op acks).
     acked_down: int = -1
-    #: Upstream handshake state: envelopes flush only once True.
-    ready: bool = False
     #: Decoded batches awaiting the upstream HelloReply.
     prequeue: deque[_Envelope] = field(default_factory=deque)
     #: Envelopes currently held in the merger (backpressure accounting).
@@ -191,15 +183,22 @@ class RelayServer:
         #: hung one, and the relay's own upstream heartbeat is what keeps
         #: the tree's liveness signal going.
         self.plane = ConnectionPlane(self.listener)
-        self.upstream: MessageConnection | None = None
+        #: The upstream face, its jitter seeded by this relay's identity
+        #: and address so relays orphaned together redial apart.
+        self.uplink = Uplink(
+            PLANE_CAPS,
+            heartbeat_id=config.relay_id,
+            compress_min_bytes=config.compress_min_bytes,
+            host=config.upstream_host,
+            port=config.upstream_port,
+            rng=random.Random(f"relay {config.relay_id} {self.listener.address}"),
+            backoff_s=UPSTREAM_BACKOFF_S,
+            max_backoff_s=UPSTREAM_MAX_BACKOFF_S,
+        )
         self.sources: dict[int, _Source] = {}
         self.merger: OrderedMerger[_Envelope] = OrderedMerger()
         self._enc = XdrEncoder()
-        self._upstream_caps = 0
         self._last_flush = monotonic_s()
-        self._last_upstream_send = monotonic_s()
-        self._next_connect_at = 0.0
-        self._backoff_s = config.reconnect_backoff_s
 
         # -- counters (exported by repro.obs.collect.wire_relay) --------
         self.batches_in = Counter("relay.batches_in")
@@ -241,8 +240,9 @@ class RelayServer:
 
     # -- the pump ------------------------------------------------------
     def _pump_once(self) -> None:
-        if self.upstream is None:
-            self._maybe_connect_upstream()
+        uplink = self.uplink
+        if uplink.conn is None and uplink.dial() and uplink.connections > 1:
+            self.upstream_reconnects += 1
         # Read backpressure: stop reading a connection until acks free
         # outbox (or merge) room for every source it carries.
         limit = self.config.pending_limit
@@ -254,17 +254,18 @@ class RelayServer:
         now = monotonic_s()
         until_flush = self.config.flush_interval_s - (now - self._last_flush)
         timeout = max(0.0, min(self.config.select_timeout_s, until_flush))
-        extra = () if self.upstream is None else (self.upstream,)
+        extra = () if uplink.conn is None else (uplink.conn,)
         for conn, payloads in self.plane.pump(timeout, exclude, extra):
-            if conn is self.upstream:
+            if conn in extra:
                 self._drain_upstream()
             else:
                 self._on_downstream_frames(conn, payloads)
         if monotonic_s() - self._last_flush >= self.config.flush_interval_s:
             self._flush_upstream()
             self._last_flush = monotonic_s()
+        uplink.tick()
+        self._on_upstream_news()
         self._flush_downstream_acks()
-        self._maybe_heartbeat()
 
     # -- downstream ----------------------------------------------------
     def _on_downstream_frames(
@@ -304,35 +305,14 @@ class RelayServer:
         src = self.sources.get(msg.exs_id)
         if src is None:
             src = _Source(
-                exs_id=msg.exs_id,
-                hello=msg,
-                outbox=ExsOutbox(self.config.outbox_depth),
+                exs_id=msg.exs_id, outbox=ExsOutbox(self.config.outbox_depth)
             )
             self.sources[msg.exs_id] = src
             self.merger.add_shard(msg.exs_id)
-        else:
-            src.hello = msg
-        src.ready = False
         # The downstream HelloReply waits for the upstream's (see
-        # _on_upstream_hello_reply); a held filter is re-applied now.
+        # _on_upstream_news); a held filter is re-applied now.
         self.plane.bind(conn, msg)
-        self._forward_hello(src)
-
-    def _forward_hello(self, src: _Source) -> None:
-        if self.upstream is None:
-            return  # re-sent for every source on upstream (re)connect
-        up_hello = protocol.Hello(
-            exs_id=src.exs_id,
-            node_id=src.hello.node_id,
-            advertised_rate=src.hello.advertised_rate,
-            wants_ack=True,
-            capabilities=PLANE_CAPS,
-        )
-        try:
-            self.upstream.send(up_hello)
-            self._last_upstream_send = monotonic_s()
-        except _PEER_LOST:
-            self._lose_upstream()
+        self.uplink.add_source(msg, src.outbox)
 
     def _on_downstream_batch(
         self, conn: MessageConnection, msg: protocol.Batch, payload: bytes
@@ -357,19 +337,20 @@ class RelayServer:
         )
         self.batches_in += 1
         self.records_in += len(msg.records)
-        if src.ready:
+        if msg.exs_id in self.uplink.ready:
             self._admit_envelope(src, env)
         else:
             src.prequeue.append(env)
 
     def _admit_envelope(self, src: _Source, env: _Envelope) -> None:
-        floor = src.admitted if src.admitted > src.enqueued else src.enqueued
+        admitted = self.uplink.confirmed[src.exs_id]
+        floor = admitted if admitted > src.enqueued else src.enqueued
         if env.last <= floor:
             # A retransmit of something the relay already owns: the
             # outbox (or the upstream commit) will cover it; ack when the
             # upstream watermark does.
             self.duplicate_batches += 1
-            if env.last <= src.admitted:
+            if env.last <= admitted:
                 self._queue_down_ack(src)
             return
         if env.first <= floor:
@@ -382,87 +363,23 @@ class RelayServer:
         self.merger.push(src.exs_id, (env,))
 
     # -- upstream ------------------------------------------------------
-    def _maybe_connect_upstream(self) -> None:
-        now = monotonic_s()
-        if now < self._next_connect_at:
-            return
-        try:
-            conn = connect(
-                self.config.upstream_host,
-                self.config.upstream_port,
-                timeout=self.config.connect_timeout_s,
-            )
-        except OSError:
-            self._next_connect_at = now + self._backoff_s
-            self._backoff_s = min(
-                self.config.max_backoff_s, self._backoff_s * 2
-            )
-            return
-        self._backoff_s = self.config.reconnect_backoff_s
-        self.upstream = conn
-        self._upstream_caps = 0
-        self._last_upstream_send = monotonic_s()
-        # Chained resume: every known source re-handshakes; envelopes and
-        # outbox retransmits wait for the per-source HelloReply.
-        for src in self.sources.values():
-            src.ready = False
-            self._forward_hello(src)
-            if self.upstream is None:
-                return  # lost again mid-handshake; next cycle retries
-
-    def _lose_upstream(self) -> None:
-        if self.upstream is None:
-            return
-        self.upstream.close()
-        self.upstream = None
-        self.upstream_reconnects += 1
-        self._next_connect_at = monotonic_s() + self._backoff_s
-        for src in self.sources.values():
-            src.ready = False
-
     def _drain_upstream(self) -> None:
-        conn = self.upstream
-        if conn is None:
-            return
-        try:
-            for msg in conn.recv_available():
-                self._on_upstream_message(msg)
-                if self.upstream is not conn:
-                    # A handler lost the upstream mid-drain (e.g. a
-                    # failed retransmit): the socket under the iterator
-                    # is already closed, so stop consuming it.
-                    return
-        except (ValueError, *_PEER_LOST):
-            # ValueError: the fd was closed between select readiness
-            # and the read (closed sockets select as fd -1).
-            self._lose_upstream()
-
-    def _on_upstream_message(self, msg: protocol.Message) -> None:
-        if isinstance(msg, protocol.Ack):
-            self._on_upstream_ack(msg.exs_id, msg.up_to_seq)
-        elif isinstance(msg, protocol.AckBundle):
-            for exs_id, up_to_seq in msg.acks:
-                self._on_upstream_ack(exs_id, up_to_seq)
-        elif isinstance(msg, protocol.HelloReply):
-            self._on_upstream_hello_reply(msg)
-        elif isinstance(msg, protocol.TimeRequest):
-            # Sync terminates here: answer with the relay's own clock.
-            if self.upstream is not None:
-                try:
-                    self.upstream.send(
-                        protocol.TimeReply(
-                            probe_id=msg.probe_id, slave_time=now_micros()
-                        )
-                    )
-                    self._last_upstream_send = monotonic_s()
-                except _PEER_LOST:
-                    self._lose_upstream()
-        elif isinstance(msg, protocol.SetFilter):
-            self._on_upstream_set_filter(msg)
-        elif isinstance(msg, protocol.Bye):
-            self._lose_upstream()
-        else:
-            self.dropped_control += 1
+        """Upstream messages, in arrival order with the uplink's news."""
+        uplink = self.uplink
+        for msg in uplink.receive():
+            self._on_upstream_news()
+            if isinstance(msg, protocol.TimeRequest):
+                # Sync terminates here: answer with the relay's own clock.
+                uplink.send_control(
+                    protocol.TimeReply(probe_id=msg.probe_id, slave_time=now_micros())
+                )
+            elif isinstance(msg, protocol.SetFilter):
+                self._on_upstream_set_filter(msg)
+            elif isinstance(msg, protocol.Bye):
+                uplink.drop()  # a Bye from above is a lost upstream: redial
+            else:
+                self.dropped_control += 1
+        self._on_upstream_news()
 
     def _on_upstream_set_filter(self, msg: protocol.SetFilter) -> None:
         """Route a steering push to the downstream source it names.
@@ -483,50 +400,34 @@ class RelayServer:
             else:
                 self.filters_held += 1
 
-    def _on_upstream_ack(self, exs_id: int, up_to_seq: int) -> None:
-        src = self.sources.get(exs_id)
-        if src is None:
-            return
-        src.outbox.ack(up_to_seq)
-        if up_to_seq > src.admitted:
-            src.admitted = up_to_seq
-            self._queue_down_ack(src)
-
-    def _on_upstream_hello_reply(self, msg: protocol.HelloReply) -> None:
-        src = self.sources.get(msg.exs_id)
-        if src is None:
-            return
-        self._upstream_caps |= msg.capabilities
-        if msg.last_seq > src.admitted:
-            src.admitted = msg.last_seq
-        src.outbox.ack(src.admitted)
-        if src.enqueued < src.admitted:
-            src.enqueued = src.admitted
-        # Within-session state survives a pure reconnect: frames still in
-        # the outbox were coalesced once and retransmit byte-identically.
-        pending = src.outbox.pending_payloads()
-        if pending and self.upstream is not None:
-            try:
-                self.upstream.send_many(pending)
-                self._last_upstream_send = monotonic_s()
-                src.outbox.retransmitted_batches += len(pending)
-            except _PEER_LOST:
-                self._lose_upstream()
-                return
-        src.ready = True
-        while src.prequeue:
-            self._admit_envelope(src, src.prequeue.popleft())
-        if self.plane.hello_reply(src.exs_id, src.admitted):
-            src.acked_down = src.admitted
+    def _on_upstream_news(self) -> None:
+        """Release the sources the upstream resumed, then quote what it
+        confirmed downstream.  Runs right after each uplink call that can
+        resume a source, so no later downstream batch overtakes the
+        prequeue."""
+        uplink = self.uplink
+        for exs_id in uplink.resumed:
+            src = self.sources[exs_id]
+            admitted = uplink.confirmed[exs_id]
+            if src.enqueued < admitted:
+                src.enqueued = admitted
+            while src.prequeue:
+                self._admit_envelope(src, src.prequeue.popleft())
+            if self.plane.hello_reply(exs_id, admitted):
+                src.acked_down = admitted
+        uplink.resumed.clear()
+        for exs_id in uplink.advanced:
+            self._queue_down_ack(self.sources[exs_id])
+        uplink.advanced.clear()
 
     # -- the multiplier: coalesce, reduce, compress, ship --------------
     def _flush_upstream(self) -> None:
-        if self.upstream is None:
+        if self.uplink.conn is None:
             return
         held = self.merger.flush()
         if not held:
             return
-        payloads: list[bytes] = []
+        batches: list[tuple[int, int, bytes]] = []
         run: list[_Envelope] = []
         run_bytes = 0
 
@@ -534,10 +435,7 @@ class RelayServer:
             nonlocal run, run_bytes
             if not run:
                 return
-            src = self.sources[run[0].exs_id]
-            payload = self._emit_run(run)
-            src.outbox.append(run[-1].last, payload)
-            payloads.append(payload)
+            batches.append((run[0].exs_id, run[-1].last, self._emit_run(run)))
             run = []
             run_bytes = 0
 
@@ -555,24 +453,22 @@ class RelayServer:
             run.append(env)
             run_bytes += env.wire_bytes
         close_run()
-        try:
-            self.upstream.send_many(payloads)
-            self._last_upstream_send = monotonic_s()
-        except _PEER_LOST:
-            # Already parked in the outboxes; the reconnect handshake
-            # retransmits them, so a failed send loses nothing.
-            self._lose_upstream()
-        self.frames_out += len(payloads)
+        # Parked in the outboxes first: a failed send loses nothing, the
+        # reconnect handshake retransmits them.
+        compressed, saved = self.uplink.send(batches)
+        self.compressed_frames += compressed
+        self.compressed_bytes_saved += saved
+        self.frames_out += len(batches)
 
     def _emit_run(self, run: list[_Envelope]) -> bytes:
         """Encode one contiguous per-source run as a single upstream frame."""
-        coalesce_ok = bool(self._upstream_caps & protocol.CAP_SEQ_RANGE)
+        coalesce_ok = bool(self.uplink.peer_caps & protocol.CAP_SEQ_RANGE)
         reduce_on = self.config.reduce_metrics
         if len(run) == 1 and not reduce_on and run[0].raw is not None:
             if run[0].first == run[0].last or coalesce_ok:
                 # Verbatim fast path: the original encoded bytes.
                 self.records_out += len(run[0].records)
-                return self._maybe_compress(run[0].raw)
+                return run[0].raw
         if len(run) > 1:
             self.batches_coalesced += len(run)
         records: list[EventRecord] = [
@@ -595,22 +491,7 @@ class RelayServer:
             first_seq=first if coalesce_ok and first != last else None,
         )
         self.records_out += len(records)
-        return self._maybe_compress(payload)
-
-    def _maybe_compress(self, payload: bytes) -> bytes:
-        threshold = self.config.compress_min_bytes
-        if (
-            threshold is None
-            or not self._upstream_caps & protocol.CAP_COMPRESS
-            or len(payload) < threshold
-        ):
-            return payload
-        wrapped = protocol.compress_frame(payload)
-        if len(wrapped) >= len(payload):
-            return payload  # incompressible; ship the original
-        self.compressed_frames += 1
-        self.compressed_bytes_saved += len(payload) - len(wrapped)
-        return wrapped
+        return payload
 
     def _fold_metrics(self, records: list[EventRecord]) -> list[EventRecord]:
         """Later-wins fold of 0xB0B5 snapshot records per (node, name).
@@ -639,8 +520,9 @@ class RelayServer:
 
     # -- downstream acks -----------------------------------------------
     def _queue_down_ack(self, src: _Source) -> None:
-        if src.admitted > src.acked_down:
-            self.plane.queue_ack(src.exs_id, src.admitted)
+        admitted = self.uplink.confirmed[src.exs_id]
+        if admitted > src.acked_down:
+            self.plane.queue_ack(src.exs_id, admitted)
 
     def _flush_downstream_acks(self) -> None:
         """Quote upstream-committed watermarks downstream, one control
@@ -654,33 +536,10 @@ class RelayServer:
                 src.acked_down = seq
                 self.acks_down_sent += 1
 
-    def _maybe_heartbeat(self) -> None:
-        interval = self.config.heartbeat_interval_s
-        if interval is None or self.upstream is None:
-            return
-        now = monotonic_s()
-        if now - self._last_upstream_send >= interval:
-            try:
-                self.upstream.send(
-                    protocol.Heartbeat(exs_id=self.config.relay_id)
-                )
-                self._last_upstream_send = now
-            except _PEER_LOST:
-                self._lose_upstream()
-
     # -- lifecycle / introspection --------------------------------------
     def _shutdown(self) -> None:
-        try:
-            self._flush_upstream()
-        except _PEER_LOST:
-            pass
-        if self.upstream is not None:
-            try:
-                self.upstream.send(protocol.Bye(reason="relay stop"))
-            except _PEER_LOST:
-                pass
-            self.upstream.close()
-            self.upstream = None
+        self._flush_upstream()
+        self.uplink.close("relay stop")
         # No Bye downstream: an EXS treats Bye as "stop", and a relay going
         # away must look like a lost connection it reconnects from.
         self.plane.close()
@@ -704,27 +563,13 @@ class RelayServer:
             "relay_id": self.config.relay_id,
             "sources": len(self.sources),
             "downstream_connections": len(self.plane.live()),
-            "upstream_connected": self.upstream is not None,
+            "upstream_connected": self.uplink.conn is not None,
             "held_envelopes": self.held_envelopes,
             "unacked_frames": self.unacked_frames,
             "counters": {
-                "batches_in": int(self.batches_in),
-                "records_in": int(self.records_in),
-                "frames_out": int(self.frames_out),
-                "records_out": int(self.records_out),
-                "batches_coalesced": int(self.batches_coalesced),
-                "duplicate_batches": int(self.duplicate_batches),
-                "overlap_batches": int(self.overlap_batches),
-                "compressed_frames": int(self.compressed_frames),
-                "compressed_bytes_saved": int(self.compressed_bytes_saved),
-                "metrics_records_folded": int(self.metrics_records_folded),
-                "heartbeats_absorbed": int(self.heartbeats_absorbed),
-                "dropped_control": int(self.dropped_control),
-                "filters_forwarded": int(self.filters_forwarded),
-                "filters_held": int(self.filters_held),
-                "upstream_reconnects": int(self.upstream_reconnects),
-                "acks_down_sent": int(self.acks_down_sent),
-                "ack_frames_down": int(self.ack_frames_down),
+                counter.name.removeprefix("relay."): int(counter)
+                for counter in vars(self).values()
+                if isinstance(counter, Counter)
             },
         }
 

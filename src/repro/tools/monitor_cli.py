@@ -10,7 +10,7 @@ While the script runs, a :class:`~repro.instrument.tracer.FunctionTracer`
 emits call/return events for every function whose module matches an
 ``--include`` prefix, into an in-process ring buffer.  Afterwards the
 records are shipped — to a PICL trace file, or through a real external
-sensor to a live ISM.
+sensor's acked session to a live ISM.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from repro.core.ringbuffer import HEADER_SIZE, OverflowPolicy, RingBuffer
 from repro.core.sensor import Sensor
 from repro.instrument.tracer import FunctionTracer
 from repro.picl.format import PiclWriter
+from repro.runtime.exs_proc import ExsProcess
 from repro.util.timebase import now_micros
-from repro.wire import protocol
 from repro.wire.tcp import connect
 
 
@@ -129,21 +129,22 @@ def main(argv: list[str] | None = None) -> int:
             clock=CorrectedClock(now_micros),
             config=ExsConfig(batch_max_records=512),
         )
-        conn = connect(host or "127.0.0.1", int(port_text))
-        try:
-            conn.send(exs.hello())
-            shipped = 0
-            for payload in exs.flush():
-                conn.send_raw(payload)
-                shipped += 1
-            conn.send(protocol.Bye(reason="brisk-monitor done"))
+        # One acked session, stopped before it starts: it ships what the
+        # ring holds and returns once the ISM acked it (or gave up).
+        proc = ExsProcess(exs, connect(host or "127.0.0.1", int(port_text)))
+        proc.stop()
+        proc.run()
+        print(
+            f"brisk-monitor: shipped {exs.stats.records_shipped} records "
+            f"in {exs.stats.batches_shipped} batches to {args.ism}",
+            file=sys.stderr,
+        )
+        if proc.outbox.unacked:
             print(
-                f"brisk-monitor: shipped {exs.stats.records_shipped} records "
-                f"in {shipped} batches to {args.ism}",
+                f"brisk-monitor: {proc.outbox.unacked} batches not "
+                "acknowledged by the ISM",
                 file=sys.stderr,
             )
-        finally:
-            conn.close()
     return exit_code
 
 

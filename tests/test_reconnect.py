@@ -132,10 +132,10 @@ class TestReconnectingExs:
             max_backoff_s=2.0,
             jitter_rng=random.Random(1),
         )
-        delay = runner.backoff_s
+        delay = runner.uplink.backoff_s
         for _ in range(100):
-            nxt = runner._next_backoff(delay)
-            assert runner.backoff_s <= nxt <= min(2.0, max(0.1, delay * 3))
+            nxt = runner.uplink._next_backoff(delay)
+            assert runner.uplink.backoff_s <= nxt <= min(2.0, max(0.1, delay * 3))
             delay = nxt
 
         sensor2, exs2 = make_lis()
@@ -147,8 +147,8 @@ class TestReconnectingExs:
             max_backoff_s=2.0,
             jitter_rng=random.Random(2),
         )
-        mine = [runner._next_backoff(0.1) for _ in range(10)]
-        theirs = [other._next_backoff(0.1) for _ in range(10)]
+        mine = [runner.uplink._next_backoff(0.1) for _ in range(10)]
+        theirs = [other.uplink._next_backoff(0.1) for _ in range(10)]
         assert mine != theirs
 
     def test_shared_outbox_survives_sessions(self):

@@ -341,7 +341,7 @@ class TestUpstreamDrainHardening:
 
         class FakeConn:
             def recv_available(self):
-                # The TimeReply send below fails -> _lose_upstream runs
+                # The TimeReply send below fails -> the uplink drops it
                 # with this iterator still live.
                 yield protocol.TimeRequest(probe_id=1)
                 overdrained.append(True)
@@ -353,9 +353,9 @@ class TestUpstreamDrainHardening:
             def close(self):
                 pass
 
-        relay.upstream = FakeConn()
+        relay.uplink.conn = FakeConn()
         relay._drain_upstream()
-        assert relay.upstream is None
+        assert relay.uplink.conn is None
         assert overdrained == []
 
     def test_closed_fd_select_error_counts_as_peer_loss(self):
@@ -371,9 +371,9 @@ class TestUpstreamDrainHardening:
             def close(self):
                 pass
 
-        relay.upstream = FakeConn()
+        relay.uplink.conn = FakeConn()
         relay._drain_upstream()
-        assert relay.upstream is None
+        assert relay.uplink.conn is None
 
 
 class TestRelayedEqualsDirect:
