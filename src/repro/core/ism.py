@@ -17,7 +17,8 @@ deterministic under test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from repro.core.consumers import Consumer
 from repro.core.cre import CausalMatcher, CreConfig
@@ -108,6 +109,9 @@ class InstrumentationManager:
         #: tachyons trigger its extra-round request (§3.6).
         self.sync_master = sync_master
         self._known_sources: dict[int, int] = {}  # exs_id → node_id
+        #: The Hello registry, live and read-only: what batch decode
+        #: stamps each record's node from (``decode_message(node_id=)``).
+        self.source_nodes: Mapping[int, int] = MappingProxyType(self._known_sources)
         # exs_id → highest admitted batch seq.  Retransmits at or below
         # this watermark are dropped before the sorter; the value is what
         # Ack/HelloReply carry back to the EXS, and what resume_state()
@@ -211,12 +215,12 @@ class InstrumentationManager:
         self.stats.last_seq[batch.exs_id] = batch.seq
         self._admitted[batch.exs_id] = batch.seq
         # The wire format does not carry node identity per record — the
-        # stream implies it; stamp it back on from the Hello registration.
-        # Stamping runs vectorized over the decoded list: records already
-        # carrying the node pass through, the rest are rebuilt through the
-        # trusted ``from_wire`` constructor (their fields were validated
-        # structurally by the codec) instead of re-validating every field
-        # per record via ``with_node``.
+        # stream implies it.  Decode stamps it from `source_nodes`; this
+        # pass is the safety net for a batch decoded before its Hello was
+        # routed: records already carrying the node pass through, the rest
+        # are rebuilt through the trusted ``from_wire`` constructor (their
+        # fields were validated structurally by the codec) instead of
+        # re-validating every field per record via ``with_node``.
         node_id = self._known_sources[batch.exs_id]
         from_wire = EventRecord.from_wire
         records: Sequence[EventRecord] = [

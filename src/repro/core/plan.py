@@ -10,8 +10,9 @@ is (de)serialised.  From the single per-field-type table
   notices, the EXS drain, commit-log entries, shard rings and the memory
   buffer all go through these two;
 * the XDR record of a default batch (:mod:`repro.wire.protocol`:
-  compressed meta, absolute timestamp): encode, and decode keyed by the
-  raw meta word(s) (:func:`plan_at`).
+  compressed meta, absolute timestamp): encode, decode keyed by the raw
+  meta word(s) (:func:`plan_at`), and a validate-only skip that makes the
+  same checks as the decode without building the record (the relay).
 
 Each framing is a generated straight-line function (``SchemaPlan.source``
 prints them): every run of fixed-size fields is one ``struct`` call, every
@@ -132,6 +133,8 @@ class SchemaPlan:
     * ``wire_pack(record) -> bytes`` — one record of a default batch
     * ``wire_unpack(buf, pos, end, node_id, out) -> next_pos`` — passes the
       decoded record to ``out``
+    * ``wire_skip(buf, pos, end) -> next_pos`` — accepts exactly what
+      ``wire_unpack`` accepts, building nothing
     """
 
     __slots__ = (
@@ -145,6 +148,7 @@ class SchemaPlan:
         "native_unpack",
         "wire_pack",
         "wire_unpack",
+        "wire_skip",
         "source",
     )
 
@@ -172,6 +176,7 @@ class SchemaPlan:
         self.native_unpack = ns["native_unpack"]
         self.wire_pack = ns["wire_pack"]
         self.wire_unpack = ns["wire_unpack"]
+        self.wire_skip = ns["wire_skip"]
 
     def wire_size(self, values: Sequence[Any]) -> int:
         """Bytes of this record in a default batch (excludes the batch header)."""
@@ -310,7 +315,7 @@ def _tuple(items: Sequence[str]) -> str:
 
 
 def _generate(plan: SchemaPlan) -> tuple[str, dict[str, Any]]:
-    """Source and namespace of the plan's four framings.
+    """Source and namespace of the plan's framings.
 
     The schema is cut at its variable-length fields into segments of
     ``(fixed-field run, var field or None)``; each framing spends one
@@ -328,7 +333,13 @@ def _generate(plan: SchemaPlan) -> tuple[str, dict[str, Any]]:
             run = []
     segments.append((run, None))
     values = _tuple([f"v{i}" for i in range(len(types))])
-    ns: dict[str, Any] = {"W": EventRecord.from_wire, "FT": types, "Z": _ZERO_PAD, "P": _XDR_PAD}
+    ns: dict[str, Any] = {
+        "W": EventRecord.from_wire,
+        "FT": types,
+        "Z": _ZERO_PAD,
+        "P": _XDR_PAD,
+        "U": _UNPACK_U32,
+    }
 
     def native(i: int) -> str:
         return "B" + FIELD_CODES[types[i]][0]
@@ -438,6 +449,30 @@ def _generate(plan: SchemaPlan) -> tuple[str, dict[str, Any]]:
                 "    p = s",
             ]
     src += [f"    out(W(e, t, FT, {values}, node))", "    return p"]
+
+    # wire skip: wire_unpack's bounds, pad and UTF-8 checks, only the
+    # variable-length fields' length words read
+    src.append("def wire_skip(m, p, end):")
+    for k, (run, var) in enumerate(segments):
+        size = struct.calcsize(">" + "".join(xdr(i) for i in run) + ("I" if var is not None else ""))
+        if k == 0:
+            size += 12 + 4 * len(plan.meta_words)
+        if var is None:
+            if size:
+                src += [f"    p += {size}", "    if p > end:", "        raise ValueError('truncated record')"]
+            continue
+        src += [
+            f"    (n{var}, ) = U(m, p + {size - 4})",
+            f"    p += {size}",
+            f"    q = p + n{var}",
+            f"    s = q + (-n{var} & 3)",
+            "    if s > end or m[q:s] != Z[s - q]:",
+            "        raise ValueError('irregular variable-length field')",
+        ]
+        if types[var] is FieldType.X_STRING:
+            src.append("    str(m[p:q], 'utf-8')")
+        src.append("    p = s")
+    src.append("    return p")
 
     source = "\n".join(src) + "\n"
     exec(compile(source, f"<plan {'/'.join(t.name for t in types)}>", "exec"), ns)

@@ -56,6 +56,10 @@ _RULES = {
 
 _BAIL = (ast.Return, ast.Raise, ast.Continue, ast.Break)
 
+#: The batch writers whose ``first_seq=`` sets ``FLAG_SEQ_RANGE``: the
+#: record encoder and the relay's byte splice.
+_SEQ_RANGE_WRITERS = ("protocol.encode_batch_records", "protocol.splice_batch")
+
 
 def _own_nodes(
     func: ast.FunctionDef | ast.AsyncFunctionDef,
@@ -238,7 +242,7 @@ class CapGateChecker(Checker):
                             "consult the peer's CAP_STEERING and send "
                             "msg.downgraded() to legacy peers",
                         )
-            elif qual.endswith("protocol.encode_batch_records"):
+            elif qual.endswith(_SEQ_RANGE_WRITERS):
                 first_seq = next(
                     (
                         kw.value

@@ -10,7 +10,8 @@ module is what the two ISM flavors do with a drained payload list.  For
    drained through its reusable ``recv_into`` buffer and every complete
    frame payload sliced out;
 2. **decode** — each connection's payload list is batch-decoded inline
-   on the pump thread;
+   on the pump thread, every record stamped with its node from the
+   manager's Hello registry by its batch's exs id;
 3. **route** — decoded messages enter the
    :class:`~repro.core.ism.InstrumentationManager` in arrival order, per
    connection; then the manager ticks so sorted records flow to consumers.
@@ -33,6 +34,7 @@ import select
 import struct
 import time
 from collections import deque
+from typing import Mapping
 
 from repro.clocksync.brisk_sync import BriskSyncConfig, BriskSyncMaster
 from repro.clocksync.probes import ProbeSample
@@ -207,12 +209,6 @@ class IsmServer(_IsmFront):
         self.sync_master: BriskSyncMaster | None = None
         #: The bindings the sync master's slaves were built from.
         self._sync_members: dict[int, MessageConnection] = {}
-        #: Node each connection's Hello advertised — handed to the decode
-        #: stage so batch records come out pre-stamped with their node
-        #: (the manager's stamping pass then finds nothing to rebuild).
-        #: Multi-node relay connections reset the hint to 0.  Kept in
-        #: the plane's per-connection slot, so it goes with the connection.
-        self._conn_node: dict[MessageConnection, int] = self.plane.conn_data
         # First round runs as soon as a slave connects (warmup), then on
         # the configured period.
         self._next_sync = time.monotonic()
@@ -352,7 +348,6 @@ class IsmServer(_IsmFront):
         """One pump cycle: drain the plane, decode and route each
         connection's payloads in arrival order, then send the acks."""
         now = None
-        conn_node = self._conn_node
         for conn, payloads in self.plane.pump(self._pump_timeout()):
             if now is None:
                 now = now_micros()  # once per cycle, after the select wait
@@ -364,7 +359,7 @@ class IsmServer(_IsmFront):
             bad = False
             if payloads:
                 decoded, bad = self._decode_payloads(
-                    payloads, conn_node.get(conn, 0)
+                    payloads, self.manager.source_nodes
                 )
                 msgs.extend(decoded)
             for msg in msgs:
@@ -425,7 +420,7 @@ class IsmServer(_IsmFront):
 
     @staticmethod
     def _decode_payloads(
-        payloads: list[bytes], node_id: int = 0
+        payloads: list[bytes], nodes: Mapping[int, int]
     ) -> tuple[list[protocol.Message], bool]:
         """Decode stage: payloads → messages, in order.
 
@@ -433,15 +428,16 @@ class IsmServer(_IsmFront):
         it is still delivered, and the flag tells the route stage to drop
         the connection (the stream past a bad payload is untrustworthy).
 
-        *node_id* is the connection's Hello-advertised node, pre-stamped
-        onto decoded batch records (a stale hint is corrected by the
-        manager's stamping pass).
+        *nodes* is the manager's live ``exs_id → node`` registry: each
+        batch's records come out stamped with their source's node, also
+        on a relay connection that carries many sources (a batch decoded
+        before its Hello is routed is stamped by the manager instead).
         """
         msgs: list[protocol.Message] = []
         append = msgs.append
         try:
             for payload in payloads:
-                append(protocol.decode_message(payload, node_id=node_id))
+                append(protocol.decode_message(payload, node_id=nodes))
         except XdrDecodeError:
             return msgs, True
         return msgs, False
@@ -461,15 +457,7 @@ class IsmServer(_IsmFront):
                 last = self._ack_gate.committed(msg.exs_id)
             else:
                 last = self.manager.admitted_seq(msg.exs_id)
-            if not self.plane.bind(conn, msg, -1 if last is None else last):
-                return
-            # The decode-time node hint only holds while every source on
-            # the connection agrees on it; a relay fronting several nodes
-            # clears it and the manager's stamping pass does the work.
-            if len(self.plane.sources_on(conn)) == 1:
-                self._conn_node[conn] = msg.node_id
-            elif self._conn_node.get(conn) != msg.node_id:
-                self._conn_node[conn] = 0
+            self.plane.bind(conn, msg, -1 if last is None else last)
             return
         if isinstance(msg, protocol.Bye):
             # A clean goodbye retires the sources still bound to this

@@ -8,11 +8,16 @@ high-volume peer to the ISM or a parent relay — and acting as a
 throughput multiplier on the way through:
 
 * **Frame coalescing** — consecutive downstream batches from one source
-  are re-emitted as one large frame near ``batch_max_bytes``, re-encoded
-  through each schema's compiled plan (never field-by-field).  The coalesced
-  frame preserves the *original* sequence numbers (``first_seq..seq``),
-  so acks, dedup, and resume keep their end-to-end meaning.
-* **In-flight pre-sorting** — decoded batch envelopes ride a
+  leave as one large frame near ``batch_max_bytes``: a new batch header
+  plus their record bytes, joined (:func:`~repro.wire.protocol.
+  splice_batch`).  Records are validated on the way in by one walk that
+  accepts exactly what the ISM's decoder accepts, and never built: the
+  ISM is the first and only place they become objects.  ``DELTA_TS``
+  batches, whose timestamps are relative to their own base, travel
+  verbatim as runs of one.  The coalesced frame preserves the *original*
+  sequence numbers (``first_seq..seq``), so acks, dedup, and resume keep
+  their end-to-end meaning.
+* **In-flight pre-sorting** — batch envelopes ride a
   :class:`~repro.core.merge.OrderedMerger` keyed by each batch's first
   record, so the upstream receiver's sorter sees mostly-ordered input.
   The coalesce window, not watermarks, bounds the sort horizon: an idle
@@ -27,7 +32,7 @@ throughput multiplier on the way through:
   for the same ``(node, name)`` supersedes an earlier one (exactly the
   ``snapshot_from_records`` later-wins rule, the degenerate form of the
   associative ``HistogramSnapshot.merge``), so superseded snapshots are
-  folded away instead of forwarded.
+  folded away instead of forwarded.  Only those records are decoded.
 
 Delivery guarantees chain hop by hop.  Upstream, the relay is the second
 owner of the EXS's :class:`~repro.runtime.uplink.Uplink`, carrying every
@@ -54,7 +59,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.merge import OrderedMerger
-from repro.core.records import EventRecord
 from repro.obs.metrics import Counter
 from repro.obs.reporter import METRICS_EVENT_ID
 from repro.runtime.plane import PLANE_CAPS, ConnectionPlane
@@ -62,7 +66,7 @@ from repro.runtime.uplink import ExsOutbox, Uplink
 from repro.util.timebase import monotonic_s, now_micros
 from repro.wire import protocol
 from repro.wire.tcp import MessageConnection, MessageListener
-from repro.xdr import XdrDecodeError, XdrEncoder
+from repro.xdr import XdrDecodeError
 
 
 #: Upstream redial backoff (jittered, from 50 ms up to 1 s): a relay
@@ -95,7 +99,7 @@ class RelayConfig:
     #: Per-source bound on coalesced-but-unacked upstream frames (soft,
     #: like :class:`~repro.runtime.uplink.ExsOutbox`).
     outbox_depth: int = 256
-    #: Per-source bound on decoded envelopes awaiting flush; beyond it the
+    #: Per-source bound on envelopes awaiting flush; beyond it the
     #: source's socket is excluded from select (read backpressure).
     pending_limit: int = 256
     #: Compress coalesced payloads at or above this many bytes (None =
@@ -114,36 +118,21 @@ class RelayConfig:
 
 
 class _Envelope:
-    """One decoded downstream batch, ready to merge and coalesce.
+    """One validated downstream batch, ready to merge and splice."""
 
-    ``raw`` keeps the original encoded payload so a run of one batch can
-    be forwarded without re-encoding; it is dropped (None) for payloads
-    that arrived compressed, forcing the re-encode path.
-    """
+    __slots__ = ("exs_id", "first", "last", "batch", "wire_bytes")
 
-    __slots__ = ("exs_id", "first", "last", "records", "raw", "wire_bytes", "_key")
-
-    def __init__(
-        self,
-        exs_id: int,
-        first: int,
-        last: int,
-        records: tuple[EventRecord, ...],
-        raw: bytes | None,
-        wire_bytes: int,
-    ) -> None:
-        self.exs_id = exs_id
-        self.first = first
-        self.last = last
-        self.records = records
-        self.raw = raw
+    def __init__(self, batch: protocol.BatchView, wire_bytes: int) -> None:
+        self.exs_id = batch.exs_id
+        self.first = batch.seq if batch.first_seq is None else batch.first_seq
+        self.last = batch.seq
+        self.batch = batch
         self.wire_bytes = wire_bytes
-        # Empty (fully folded) batches sort first: they carry only a seq
-        # advance and may leave immediately.
-        self._key = records[0].sort_key() if records else (0, 0, 0)
 
     def sort_key(self) -> tuple[int, int, int]:
-        return self._key
+        # Empty (fully folded) batches sort first: they carry only a seq
+        # advance and may leave immediately.
+        return self.batch.key
 
 
 @dataclass
@@ -159,7 +148,7 @@ class _Source:
     enqueued: int = -1
     #: Highest watermark already quoted downstream (suppress no-op acks).
     acked_down: int = -1
-    #: Decoded batches awaiting the upstream HelloReply.
+    #: Envelopes awaiting the upstream HelloReply.
     prequeue: deque[_Envelope] = field(default_factory=deque)
     #: Envelopes currently held in the merger (backpressure accounting).
     queued: int = 0
@@ -197,7 +186,6 @@ class RelayServer:
         )
         self.sources: dict[int, _Source] = {}
         self.merger: OrderedMerger[_Envelope] = OrderedMerger()
-        self._enc = XdrEncoder()
         self._last_flush = monotonic_s()
 
         # -- counters (exported by repro.obs.collect.wire_relay) --------
@@ -283,12 +271,9 @@ class RelayServer:
     def _on_downstream_frame(
         self, conn: MessageConnection, payload: bytes
     ) -> None:
-        # No node pre-stamp hint: the wire carries no node identity, the
-        # fold key is per-run (single node) anyway, and the receiver
-        # re-stamps every record from its own Hello registry.
-        msg = protocol.decode_message(payload)
-        if isinstance(msg, protocol.Batch):
-            self._on_downstream_batch(conn, msg, payload)
+        msg = protocol.view_message(payload)
+        if isinstance(msg, protocol.BatchView):
+            self._on_downstream_batch(conn, msg, len(payload))
         elif isinstance(msg, protocol.Hello):
             self._on_downstream_hello(conn, msg)
         elif isinstance(msg, protocol.Heartbeat):
@@ -315,29 +300,17 @@ class RelayServer:
         self.uplink.add_source(msg, src.outbox)
 
     def _on_downstream_batch(
-        self, conn: MessageConnection, msg: protocol.Batch, payload: bytes
+        self, conn: MessageConnection, batch: protocol.BatchView, wire_bytes: int
     ) -> None:
-        src = self.sources.get(msg.exs_id)
-        if src is None or self.plane.connections.get(msg.exs_id) is not conn:
+        src = self.sources.get(batch.exs_id)
+        if src is None or self.plane.connections.get(batch.exs_id) is not conn:
             # Batch before Hello: protocol violation downstream.
             self.plane.drop(conn)
             return
-        first = msg.seq if msg.first_seq is None else msg.first_seq
-        compressed_in = (
-            len(payload) >= 8
-            and int.from_bytes(payload[4:8], "big") == protocol.MsgType.COMPRESSED
-        )
-        env = _Envelope(
-            exs_id=msg.exs_id,
-            first=first,
-            last=msg.seq,
-            records=msg.records,
-            raw=None if compressed_in else payload,
-            wire_bytes=len(payload),
-        )
+        env = _Envelope(batch, wire_bytes)
         self.batches_in += 1
-        self.records_in += len(msg.records)
-        if msg.exs_id in self.uplink.ready:
+        self.records_in += batch.count
+        if batch.exs_id in self.uplink.ready:
             self._admit_envelope(src, env)
         else:
             src.prequeue.append(env)
@@ -448,6 +421,7 @@ class RelayServer:
                 env.exs_id != run[-1].exs_id
                 or env.first != run[-1].last + 1
                 or run_bytes + env.wire_bytes > self.config.batch_max_bytes
+                or not run[-1].batch.splices_with(env.batch)
             ):
                 close_run()
             run.append(env)
@@ -461,59 +435,61 @@ class RelayServer:
         self.frames_out += len(batches)
 
     def _emit_run(self, run: list[_Envelope]) -> bytes:
-        """Encode one contiguous per-source run as a single upstream frame."""
+        """Splice one contiguous per-source run into a single upstream frame."""
         coalesce_ok = bool(self.uplink.peer_caps & protocol.CAP_SEQ_RANGE)
-        reduce_on = self.config.reduce_metrics
-        if len(run) == 1 and not reduce_on and run[0].raw is not None:
-            if run[0].first == run[0].last or coalesce_ok:
-                # Verbatim fast path: the original encoded bytes.
-                self.records_out += len(run[0].records)
-                return run[0].raw
-        if len(run) > 1:
-            self.batches_coalesced += len(run)
-        records: list[EventRecord] = [
-            rec for env in run for rec in env.records
-        ]
-        if reduce_on:
-            records = self._fold_metrics(records)
+        batches = [env.batch for env in run]
+        kept = self._fold_metrics(batches) if self.config.reduce_metrics else None
         first = run[0].first
         last = run[-1].last
+        self.records_out += (
+            sum(batch.count for batch in batches) if kept is None else len(kept)
+        )
+        if len(run) == 1 and kept is None and (
+            batches[0].first_seq is None or coalesce_ok
+        ):
+            return batches[0].payload  # verbatim: the header needs no change
+        if len(run) > 1:
+            self.batches_coalesced += len(run)
         # FLAG_SEQ_RANGE may only go to peers that negotiated
         # CAP_SEQ_RANGE; toward a legacy upstream the coalesced run ships
         # as a plain batch at `last` (safe: runs are contiguous and start
         # past the outbox tail, so the peer's cumulative admitted
         # watermark either covers all of it or none of it).
-        payload = protocol.encode_batch_records(
-            run[0].exs_id,
+        return protocol.splice_batch(
+            batches,
             last,
-            records,
-            enc=self._enc,
             first_seq=first if coalesce_ok and first != last else None,
+            records=kept,
         )
-        self.records_out += len(records)
-        return payload
 
-    def _fold_metrics(self, records: list[EventRecord]) -> list[EventRecord]:
-        """Later-wins fold of 0xB0B5 snapshot records per (node, name).
+    def _fold_metrics(
+        self, batches: list[protocol.BatchView]
+    ) -> list[memoryview] | None:
+        """Later-wins fold of a run's 0xB0B5 snapshot records per name:
+        the record spans kept, or None when nothing folds.
 
         Snapshots are cumulative, so the latest record for a key is the
         (degenerate, associative — see ``HistogramSnapshot.merge``) merge
         of every earlier one; forwarding the earlier ones adds bytes, not
-        information.  Mirrors ``reporter.snapshot_from_records``.
+        information.  Mirrors ``reporter.snapshot_from_records``, whose
+        key is ``(node, name)``: a run is one source, so one node.  Only
+        snapshot records are decoded.
         """
-        seen: set[tuple[int, object]] = set()
-        kept_rev: list[EventRecord] = []
+        spans = [(batch, span) for batch in batches for span in batch.spans()]
+        seen: set[object] = set()
+        kept_rev: list[memoryview] = []
         folded = 0
-        for rec in reversed(records):
-            if rec.event_id == METRICS_EVENT_ID and rec.values:
-                key = (rec.node_id, rec.values[0])
-                if key in seen:
-                    folded += 1
-                    continue
-                seen.add(key)
-            kept_rev.append(rec)
+        for batch, span in reversed(spans):
+            if int.from_bytes(span[:4], "big") == METRICS_EVENT_ID:
+                values = batch.decode_span(span).values
+                if values:
+                    if values[0] in seen:
+                        folded += 1
+                        continue
+                    seen.add(values[0])
+            kept_rev.append(span)
         if not folded:
-            return records
+            return None
         self.metrics_records_folded += folded
         kept_rev.reverse()
         return kept_rev

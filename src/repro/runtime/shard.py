@@ -195,8 +195,9 @@ class ShardWorker:
             config.ism, [self._delivery], metrics=self.metrics
         )
         self.manager.load_resume_state(config.resume_state)
-        # exs_id → node_id hint for decode-time stamping (from Hello).
-        self._nodes: dict[int, int] = {}
+        # exs_id → node_id for decode-time stamping: the manager's live
+        # Hello registry, so each record is built once.
+        self._nodes = self.manager.source_nodes
         # Ack bookkeeping lives in the shared AckGate: acked watermarks
         # advance only once every record of a batch has left the pipeline,
         # and HelloReplies quote the *committed* watermark (an ack staged
@@ -269,7 +270,7 @@ class ShardWorker:
             self.manager.retire_source(_RETIRE.unpack(payload)[1])
             return
         try:
-            msg = protocol.decode_message(payload)
+            msg = protocol.decode_message(payload, node_id=self._nodes)
         except Exception:
             self.bad_frames += 1
             return
@@ -286,7 +287,6 @@ class ShardWorker:
             self.unsupported_msgs += 1
 
     def _on_hello(self, msg: protocol.Hello) -> None:
-        self._nodes[msg.exs_id] = msg.node_id
         self.manager.register_source(msg.exs_id, msg.node_id)
         if msg.wants_ack:
             self._wants_ack.add(msg.exs_id)

@@ -36,7 +36,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 if TYPE_CHECKING:
     from repro.core.filtering import FieldTest, FilterSpec
@@ -559,14 +559,13 @@ def encode_batch_records(
     return enc.getvalue()
 
 
-def _decode_record_dynamic(
+def _read_record_dynamic(
     dec: XdrDecoder,
     decode_meta: Callable[[XdrDecoder], tuple[FieldType, ...]],
     delta_ts: bool,
     base_ts: int,
-    node_id: int = 0,
-) -> EventRecord:
-    """The seed per-field decode path; also the fast path's fallback."""
+) -> tuple[int, int, tuple[FieldType, ...], tuple[Any, ...]]:
+    """The seed per-field reader: ``(event_id, timestamp, types, values)``."""
     event_id = dec.unpack_uint()
     types = decode_meta(dec)
     if delta_ts:
@@ -576,7 +575,20 @@ def _decode_record_dynamic(
             raise ProtocolError(f"delta timestamp {base_ts} + {delta} leaves int64")
     else:
         ts = dec.unpack_hyper()
-    values = tuple(_decode_field(dec, t) for t in types)
+    return event_id, ts, types, tuple(_decode_field(dec, t) for t in types)
+
+
+def _decode_record_dynamic(
+    dec: XdrDecoder,
+    decode_meta: Callable[[XdrDecoder], tuple[FieldType, ...]],
+    delta_ts: bool,
+    base_ts: int,
+    node_id: int = 0,
+) -> EventRecord:
+    """The seed per-field decode path; also the fast path's fallback."""
+    event_id, ts, types, values = _read_record_dynamic(
+        dec, decode_meta, delta_ts, base_ts
+    )
     return EventRecord(
         event_id=event_id,
         timestamp=ts,
@@ -587,7 +599,10 @@ def _decode_record_dynamic(
 
 
 def _decode_batch(
-    dec: XdrDecoder, *, use_fastpath: bool = True, node_id: int = 0
+    dec: XdrDecoder,
+    *,
+    use_fastpath: bool = True,
+    node_id: int | Mapping[int, int] = 0,
 ) -> Batch:
     flags = dec.unpack_uint()
     exs_id = dec.unpack_uint()
@@ -595,6 +610,8 @@ def _decode_batch(
     first_seq = dec.unpack_uint() if flags & _FLAG_SEQ_RANGE else None
     count = dec.unpack_uint()
     base_ts = dec.unpack_hyper()
+    if not isinstance(node_id, int):
+        node_id = node_id.get(exs_id, 0)
     compress = bool(flags & _FLAG_COMPRESS_META)
     delta_ts = bool(flags & _FLAG_DELTA_TS)
     decode_meta = _decode_meta_compressed if compress else _decode_meta_plain
@@ -652,6 +669,239 @@ def record_wire_size(
     meta = 4 * len(compressed_meta_words(types)) if compress_meta else 4 + 4 * n
     ts = 4 if delta_ts else 8  # escape path ignored: sizes for in-range deltas
     return 4 + meta + ts + wire_payload_size(types, record.values)
+
+
+# ----------------------------------------------------------------------
+# batch views: validated record bytes, spliced without decoding
+# ----------------------------------------------------------------------
+
+_RECORD_HEAD = struct.Struct(">II").unpack_from
+_DELTA_WORD = struct.Struct(">i").unpack_from
+_TS_WORD = struct.Struct(">q").unpack_from
+_SPLICE_HEAD = struct.Struct(">IIIIIIq")
+_SPLICE_HEAD_RANGE = struct.Struct(">IIIIIIIq")
+
+
+@dataclass(frozen=True, slots=True)
+class BatchView:
+    """A batch whose records were validated but not built.
+
+    Default-flag records are self-delimiting and context-free (compressed
+    meta, absolute timestamp), so batches of one source join by joining
+    their record bytes: :func:`view_message` checks a batch with one walk
+    that accepts exactly what :func:`decode_message` accepts, and
+    :func:`splice_batch` writes a run of views as one batch.  ``payload``
+    is the uncompressed batch message, its records from ``start`` on;
+    ``key`` is the first record's ``(timestamp, 0, event_id)`` — the sort
+    key it decodes to before node stamping — or zeros when empty.
+    """
+
+    exs_id: int
+    seq: int
+    first_seq: int | None
+    flags: int
+    count: int
+    base_ts: int
+    payload: bytes
+    start: int
+    key: tuple[int, int, int]
+
+    @property
+    def region(self) -> memoryview:
+        """The record bytes."""
+        return memoryview(self.payload)[self.start :]
+
+    def splices_with(self, other: "BatchView") -> bool:
+        """Whether *other*'s records may follow this batch's in one frame:
+        same meta spelling, and neither has timestamps relative to its own
+        base (``DELTA_TS``)."""
+        flags = self.flags | other.flags
+        return not flags & _FLAG_DELTA_TS and not (
+            (self.flags ^ other.flags) & _FLAG_COMPRESS_META
+        )
+
+    def spans(self) -> list[memoryview]:
+        """Each record's bytes, in order."""
+        dec = XdrDecoder(self.payload)
+        dec.seek(self.start)
+        starts: list[int] = []
+        _walk_records(dec, self.count, self.flags, self.base_ts, starts)
+        starts.append(len(self.payload))
+        view = memoryview(self.payload)
+        return [view[a:b] for a, b in zip(starts, starts[1:])]
+
+    def decode_span(self, span: bytes | memoryview) -> EventRecord:
+        """Build the record one of :meth:`spans` holds."""
+        compress = self.flags & _FLAG_COMPRESS_META
+        return _decode_record_dynamic(
+            XdrDecoder(span),
+            _decode_meta_compressed if compress else _decode_meta_plain,
+            bool(self.flags & _FLAG_DELTA_TS),
+            self.base_ts,
+        )
+
+
+def _uniform_run(mv: memoryview, pos: int, end: int, plan: SchemaPlan, n: int) -> bool:
+    """Whether *mv[pos:end]* is exactly *n* records of fixed-size *plan*:
+    every record's meta words are compared in one strided slice each."""
+    size = plan.wire_fixed_size
+    if end - pos != n * size:
+        return False
+    stride = size >> 2
+    for k, word in enumerate(plan.meta_words):
+        words = mv[pos + 4 + 4 * k : end].cast("I")[::stride]
+        if words.tobytes() != word.to_bytes(4, "big") * n:
+            return False
+    return True
+
+
+def _walk_records(
+    dec: XdrDecoder,
+    count: int,
+    flags: int,
+    base_ts: int,
+    starts: list[int] | None = None,
+) -> None:
+    """Validate *count* records from *dec*'s cursor without building them,
+    leaving the cursor past the last; *starts* receives record offsets.
+
+    Mirrors :func:`_decode_batch`: a plan record is skipped by the plan
+    (one strided check for a batch of one fixed-size schema), anything
+    else is read by the per-field reader, so it accepts and rejects
+    exactly what the decoder does.
+    """
+    compress = bool(flags & _FLAG_COMPRESS_META)
+    delta_ts = bool(flags & _FLAG_DELTA_TS)
+    decode_meta = _decode_meta_compressed if compress else _decode_meta_plain
+    planned = compress and not delta_ts
+    mv = dec.buffer
+    end = len(mv)
+    pos = dec.position
+    for left in range(count, 0, -1):
+        if planned:
+            plan = plan_at(mv, pos, end)
+            if plan is not None:
+                if left == count and not plan.var_fields and _uniform_run(
+                    mv, pos, end, plan, left
+                ):
+                    if starts is not None:
+                        starts.extend(range(pos, end, plan.wire_fixed_size))
+                    pos = end
+                    break
+                try:
+                    after = plan.wire_skip(mv, pos, end)
+                except (struct.error, ValueError):
+                    pass
+                else:
+                    if starts is not None:
+                        starts.append(pos)
+                    pos = after
+                    continue
+        if starts is not None:
+            starts.append(pos)
+        dec.seek(pos)
+        _read_record_dynamic(dec, decode_meta, delta_ts, base_ts)
+        pos = dec.position
+    dec.seek(pos)
+
+
+def _record_head(buf: Any, pos: int, flags: int, base_ts: int) -> tuple[int, int]:
+    """``(event_id, timestamp)`` of the validated record at *pos*."""
+    event_id, word = _RECORD_HEAD(buf, pos)
+    if not flags & _FLAG_COMPRESS_META:
+        pos += 8 + 4 * word
+    elif word >> 24 <= 6:
+        pos += 8
+    else:
+        pos += 8 + 4 * -(-((word >> 24) - 6) // 8)
+    if not flags & _FLAG_DELTA_TS:
+        return event_id, _TS_WORD(buf, pos)[0]
+    delta = _DELTA_WORD(buf, pos)[0]
+    return event_id, (
+        _TS_WORD(buf, pos + 4)[0] if delta == _DELTA_ESCAPE else base_ts + delta
+    )
+
+
+def _view_batch(dec: XdrDecoder) -> BatchView:
+    payload = dec.buffer.obj  # the frame, or the one a COMPRESSED frame held
+    flags = dec.unpack_uint()
+    exs_id = dec.unpack_uint()
+    seq = dec.unpack_uint()
+    first_seq = dec.unpack_uint() if flags & _FLAG_SEQ_RANGE else None
+    count = dec.unpack_uint()
+    base_ts = dec.unpack_hyper()
+    start = dec.position
+    _walk_records(dec, count, flags, base_ts)
+    dec.done()
+    key = (0, 0, 0)
+    if count:
+        event_id, ts = _record_head(payload, start, flags, base_ts)
+        key = (ts, 0, event_id)
+    return BatchView(
+        exs_id, seq, first_seq, flags, count, base_ts, payload, start, key
+    )
+
+
+def view_message(payload: bytes) -> BatchView | Message:
+    """:func:`decode_message`, except that a batch comes back as a
+    :class:`BatchView` (a ``COMPRESSED`` one unwrapped): same accept and
+    reject, no record built."""
+    dec, kind = _open(payload)
+    if kind == MsgType.BATCH:
+        return _view_batch(dec)
+    return decode_message(payload)
+
+
+def splice_batch(
+    views: Sequence[BatchView],
+    seq: int,
+    *,
+    first_seq: int | None = None,
+    records: Sequence[bytes | memoryview] | None = None,
+) -> bytes:
+    """One batch message carrying *views*' records, joined as bytes.
+
+    The views are consecutive batches of one source that
+    :meth:`BatchView.splices_with` each other; the frame takes the first
+    one's exs id and meta spelling, *seq* and ``FLAG_SEQ_RANGE`` only with
+    *first_seq* (a :data:`CAP_SEQ_RANGE` peer's), and the first record's
+    timestamp as its base — for canonical records the bytes
+    :func:`encode_batch_records` writes for the decoded run.  A
+    ``DELTA_TS`` view travels alone and keeps its base.  *records*, when
+    given, replaces the joined regions: some of the views' :meth:`spans`,
+    in order.
+    """
+    head = views[0]
+    flags = head.flags & ~_FLAG_SEQ_RANGE
+    if records is None:
+        parts: Sequence[bytes | memoryview] = [view.region for view in views]
+        count = sum(view.count for view in views)
+    else:
+        parts, count = records, len(records)
+    if flags & _FLAG_DELTA_TS:
+        if len(views) > 1:
+            raise ValueError("DELTA_TS batches cannot be spliced")
+        base_ts = head.base_ts
+    else:
+        base_ts = next(
+            (_record_head(part, 0, flags, 0)[1] for part in parts if len(part)), 0
+        )
+    if first_seq is None:
+        header = _SPLICE_HEAD.pack(
+            MAGIC, MsgType.BATCH, flags, head.exs_id, seq, count, base_ts
+        )
+    else:
+        header = _SPLICE_HEAD_RANGE.pack(
+            MAGIC,
+            MsgType.BATCH,
+            flags | _FLAG_SEQ_RANGE,
+            head.exs_id,
+            seq,
+            first_seq,
+            count,
+            base_ts,
+        )
+    return b"".join([header, *parts])
 
 
 # ----------------------------------------------------------------------
@@ -849,23 +1099,9 @@ def _encode_message(msg: Message, **batch_opts: Any) -> XdrEncoder:
     return enc
 
 
-def decode_message(
-    payload: bytes | bytearray | memoryview,
-    *,
-    use_fastpath: bool = True,
-    node_id: int = 0,
-) -> Message:
-    """Decode one record-marked payload into its message object.
-
-    ``use_fastpath=False`` forces the seed per-field decode loop (the
-    codec-guard benchmark and the byte-identity tests compare against it).
-
-    *node_id* pre-stamps decoded batch records with the node the stream
-    implies (the wire format does not carry node identity per record).
-    The ISM pump passes each connection's Hello-advertised node so the
-    manager's stamping pass finds records already stamped; a wrong hint
-    is corrected there, so this is purely a fast path.
-    """
+def _open(payload: bytes | bytearray | memoryview) -> tuple[XdrDecoder, int]:
+    """A decoder past the magic and message type, and the type; a
+    ``COMPRESSED`` envelope is unwrapped to the message inside."""
     dec = XdrDecoder(payload)
     magic = dec.unpack_uint()
     if magic != MAGIC:
@@ -896,6 +1132,28 @@ def decode_message(
         kind = dec.unpack_uint()
         if kind == MsgType.COMPRESSED:
             raise ProtocolError("nested COMPRESSED frame")
+    return dec, kind
+
+
+def decode_message(
+    payload: bytes | bytearray | memoryview,
+    *,
+    use_fastpath: bool = True,
+    node_id: int | Mapping[int, int] = 0,
+) -> Message:
+    """Decode one record-marked payload into its message object.
+
+    ``use_fastpath=False`` forces the seed per-field decode loop (the
+    codec-guard benchmark and the byte-identity tests compare against it).
+
+    *node_id* stamps decoded batch records with their node (the wire
+    format does not carry node identity per record): one node, or a
+    mapping from exs id to node read with the batch's exs id (0 when
+    absent).  The ISM passes its live Hello registry, so the manager's
+    stamping pass finds every record already stamped and builds each
+    once; a wrong or missing node is corrected there.
+    """
+    dec, kind = _open(payload)
     if kind == MsgType.BATCH:
         return _decode_batch(dec, use_fastpath=use_fastpath, node_id=node_id)
     if kind == MsgType.HELLO:
@@ -957,7 +1215,7 @@ def decode_messages(
     payloads: Sequence[bytes | bytearray | memoryview],
     *,
     use_fastpath: bool = True,
-    node_id: int = 0,
+    node_id: int | Mapping[int, int] = 0,
 ) -> list[Message]:
     """Decode a list of record-marked payloads, in order.
 

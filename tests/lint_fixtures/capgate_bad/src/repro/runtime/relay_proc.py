@@ -19,11 +19,11 @@ class Relay:
         # BRK803: full SetFilter spec sent without consulting CAP_STEERING.
         conn.send(spec.desired_filter)
 
-    def emit(self, records, first, last):
+    def emit(self, batches, first, last):
         # BRK804: the original relay bug shape — the cap is *computed*
-        # and even guards an unrelated fast path, but the encode sends
+        # and even guards an unrelated fast path, but the splice sends
         # first_seq unconditionally.
         ok = bool(self._caps & protocol.CAP_SEQ_RANGE)
         if first == last or ok:
             return b""
-        return protocol.encode_batch_records(1, last, records, first_seq=first)
+        return protocol.splice_batch(batches, last, first_seq=first)

@@ -26,9 +26,9 @@ class Relay:
         else:
             conn.send(spec.downgraded())
 
-    def emit(self, records, first, last):
+    def emit(self, batches, first, last):
         # Value-ternary gate on a cap-tainted variable (the shipped fix).
         ok = bool(self._caps & protocol.CAP_SEQ_RANGE)
-        return protocol.encode_batch_records(
-            1, last, records, first_seq=first if ok and first != last else None
+        return protocol.splice_batch(
+            batches, last, first_seq=first if ok and first != last else None
         )

@@ -9,6 +9,7 @@ counting for the coalesced ack path, and the chaos proof that a
 SIGKILL'd relay still yields exactly-once delivery through the tree.
 """
 
+import itertools
 import multiprocessing as mp
 import os
 import signal
@@ -152,9 +153,25 @@ def _metric(name_id: int, value: float, ts: int, node: int = 1) -> EventRecord:
 
 class TestMetricsFold:
     def fold(self, recs):
+        """Fold *recs* as the relay folds its runs: each stretch of one
+        node's records is one source's batch, folded as record bytes.
+        Returns *recs* itself when no run folds (the relay then forwards
+        its input as it came)."""
         relay = RelayServer(RelayConfig(reduce_metrics=True))
         try:
-            return relay._fold_metrics(recs), relay
+            out, changed = [], False
+            for node, group in itertools.groupby(recs, key=lambda r: r.node_id):
+                group = list(group)
+                view = protocol.view_message(
+                    protocol.encode_batch_records(node, 0, group)
+                )
+                kept = relay._fold_metrics([view])
+                if kept is None:
+                    out.extend(group)
+                else:
+                    changed = True
+                    out.extend(view.decode_span(s).with_node(node) for s in kept)
+            return (out if changed else recs), relay
         finally:
             relay.listener.close()
 
