@@ -5,14 +5,20 @@ timing; total runtime well under a second) that fails if a schema's
 compiled plan loses to — or silently stops beating — the seed dynamic
 path, for the paper's fixed-size record and for records carrying strings
 and opaques, so a refactor cannot quietly bypass or regress the compiled
-path.  Byte identity is asserted in the same breath: a fast path that
-wins by changing the wire format is also a failure.
+path.  The EXS, which transcodes ring records straight to wire bytes, must
+stay at least twice as fast as decoding and re-encoding them — a ratio,
+so it holds on shared runners.  Byte identity is asserted in the same
+breath: a fast path that wins by changing the wire format is also a
+failure.
 """
 
 from __future__ import annotations
 
 import time
 
+from repro.clocksync.clocks import CorrectedClock
+from repro.core import native
+from repro.core.exs import ExsConfig, ExternalSensor
 from repro.core.records import EventRecord, FieldType
 from repro.wire import protocol
 
@@ -111,4 +117,36 @@ def test_compiled_var_length_decode_not_slower_than_dynamic():
     assert fast <= slow, (
         f"compiled var-length decode ({fast * 1e6:.0f} µs/batch) slower than "
         f"dynamic ({slow * 1e6:.0f} µs/batch)"
+    )
+
+
+class _PreloadedRing:
+    """A ring stand-in handing the EXS the same drained payloads each
+    poll, so the race times the EXS's own work, not the ring's."""
+
+    def __init__(self, payloads: list[bytes]) -> None:
+        self.payloads = payloads
+
+    def drain_bytes(self, limit: int | None = None) -> list[bytes]:
+        return self.payloads
+
+
+def test_exs_transcode_at_least_twice_the_record_path():
+    clock = CorrectedClock(lambda: 2_000_000)
+    clock.advance(1_234)
+    payloads = [native.pack_record(r) for r in _records()]
+    exs = ExternalSensor(1, 1, [_PreloadedRing(payloads)], clock, ExsConfig())
+    (transcoded,) = exs.poll()  # one full batch: 256 records
+
+    def record_path() -> bytes:
+        correction = clock.correction_us
+        records = [native.unpack_record_stamped(p, 1, correction) for p in payloads]
+        return protocol.encode_batch_records(1, exs.next_seq - 1, records)
+
+    assert transcoded == record_path()  # the same batch, or no deal
+    fast = _best(exs.poll)
+    slow = _best(record_path)
+    assert 2 * fast <= slow, (
+        f"EXS poll ({fast * 1e6:.0f} µs/batch) is not twice as fast as "
+        f"decode + encode ({slow * 1e6:.0f} µs/batch)"
     )

@@ -5,7 +5,8 @@ shares the CPU with the target application was shown negligible (under 1%)
 at event rates of up to 38,000 per second."
 
 Reproduction: measure the EXS's per-record CPU cost for a full poll cycle
-(drain the ring, correct timestamps, batch, XDR-encode) and convert it to
+(drain the ring, transcode each record to XDR with the clock correction,
+batch, frame) and convert it to
 the fraction of one CPU consumed at swept event rates.  The shape to hold:
 utilization grows linearly with rate, and the per-record cost is small
 enough that realistic rates leave the application most of the CPU.
@@ -49,7 +50,7 @@ def test_exs_poll_cycle_cost(benchmark, report):
         exs.poll, setup=fill, rounds=200, warmup_rounds=5
     )
     per_record_us = benchmark.stats.stats.mean * 1e6 / 256
-    report.row(f"EXS cost per record (drain+correct+batch+encode): {per_record_us:.2f} us")
+    report.row(f"EXS cost per record (drain+transcode+batch+frame): {per_record_us:.2f} us")
     rows = []
     for rate in (1_000, 5_000, 10_000, 38_000):
         utilization = per_record_us * rate / 1e6

@@ -4,13 +4,23 @@ The EXS "runs as another process on the same node and may be assigned a
 lower priority".  Each poll cycle it:
 
 1. **drains** the ring buffer the internal sensors write into,
-2. applies the **delta-ts** correction — the clock-synchronization
-   correction value it maintains — to every record's timestamp (the
-   sensors stamp raw local ``gettimeofday`` time; the correction is added
-   "before sending the record to the ISM"),
-3. stamps its node identity,
-4. **batches** records under the configured latency control, and
-5. XDR-encodes batches for the transfer protocol.
+2. **transcodes** each native ring record straight to its XDR record,
+   applying the **delta-ts** correction — the clock-synchronization
+   correction value it maintains — to the record timestamp and every
+   ``X_TS`` field on the way (the sensors stamp raw local
+   ``gettimeofday`` time; the correction is added "before sending the
+   record to the ISM"),
+3. **batches** the record bytes under the configured latency control, and
+4. writes a batch header over each closed batch's joined record bytes.
+
+No record object is built: a record of a schema seen before takes its
+plan's generated ``native_to_wire`` framing (:mod:`repro.core.plan`),
+one ``struct`` unpack and one ``struct`` pack per run of fixed-size
+fields.  The first record of a schema, and any record no plan takes, is
+decoded and encoded by the reference codecs instead; a record those
+reject too is skipped and counted (``records_rejected``), so one bad ring
+record costs itself, not the drain or the batch around it.  The node
+identity is not in the record bytes: the ISM stamps it from the Hello.
 
 This class is transport- and scheduler-agnostic: :meth:`poll` consumes the
 ring and returns encoded batch payloads; the caller (the real runtime's
@@ -25,17 +35,21 @@ applies advance-only corrections.
 
 from __future__ import annotations
 
+import struct
 import time
 from dataclasses import dataclass
 from typing import Sequence
 
 from repro.clocksync.clocks import CorrectedClock
 from repro.core import native
+from repro.core.plan import SchemaPlan, native_transcode, plan_for
 from repro.core.predicate import CompiledFilterState
-from repro.core.records import EventRecord
 from repro.core.ringbuffer import RingBuffer
 from repro.wire import protocol
-from repro.xdr import XdrEncoder
+from repro.xdr import XdrError
+
+#: What the reference codecs raise on a ring record they cannot ship.
+_REJECTS = (ValueError, XdrError)
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,7 +70,9 @@ class ExsConfig:
         Max records pulled from the ring per poll, bounding the EXS's CPU
         burst so a lower-priority EXS stays preemptible.
     compress_meta / delta_ts:
-        Wire-format knobs forwarded to the transfer protocol (A1/E8).
+        Wire-format knobs forwarded to the transfer protocol (A1/E8):
+        a closed batch is re-framed in that spelling by the reference
+        codec.  Batch boundaries fall where the spelling's sizes put them.
     """
 
     batch_max_records: int = 256
@@ -87,10 +103,29 @@ class ExsStats:
     batches_shipped: int = 0
     bytes_shipped: int = 0
     timeout_flushes: int = 0
+    #: Ring records neither a plan nor the reference decoder could ship.
+    records_rejected: int = 0
+
+
+def transcode(payload: bytes, correction: int) -> tuple[SchemaPlan | None, bytes]:
+    """``(plan, wire record)`` for one native ring record under a clock
+    correction: the bytes a default batch carries for it.
+
+    A record no known plan takes (the first of its schema, or bytes that
+    are irregular) goes through the reference codecs — decode, then
+    encode — which compile the plan for the next one, or raise what they
+    raise for a record they reject.
+    """
+    plan, wire = native_transcode(payload, correction)
+    if wire is None:
+        record = native.unpack_record_stamped(payload, 0, correction)
+        wire = protocol.encode_record(record)
+        plan = plan_for(record.field_types)
+    return plan, wire
 
 
 class ExternalSensor:
-    """Drain → correct → batch → encode pipeline for one node.
+    """Drain → correct → batch → frame pipeline for one node.
 
     ``ring`` may be a single ring buffer or a sequence of them — the paper
     has "multiple user processes ... using internal sensors" on each node,
@@ -126,12 +161,10 @@ class ExternalSensor:
         #: out-of-order older spec overwrite a newer one.
         self.filter_epoch = 0
         self._seq = 0
-        self._pending: list[EventRecord] = []
+        #: Wire bytes of each pending record, as a default batch frames it.
+        self._pending: list[bytes] = []
         self._pending_bytes = 0
         self._pending_oldest_local: int | None = None
-        # One encoder per sensor, reset per batch: batches reuse the same
-        # buffer allocation instead of growing a fresh bytearray each time.
-        self._encoder = XdrEncoder()
         #: Optional :class:`repro.obs.metrics.MetricsRegistry`.  When None
         #: (the default) the data path carries zero observability cost —
         #: every hot-path hook is behind one ``is not None`` check.
@@ -201,42 +234,57 @@ class ExternalSensor:
         if timer is not None and drained:
             self._drain_hist.observe((time.perf_counter_ns() - t0) / 1_000.0)
         self.stats.records_drained += len(drained)
+        payloads = drained
+        if self.filter is not None:
+            # The filter decides on the packed payloads *before*
+            # transcoding: a dropped record never pays correction/encode.
+            payloads = self.filter.admit_many(drained)
+            self.stats.records_filtered += len(drained) - len(payloads)
         # Hot-loop hoists: attribute lookups and config reads happen once
         # per poll, not once per record.
-        node_id = self.node_id
-        # The filter decides on the packed payload *before* decode: a
-        # dropped record never pays decode/correction/encode.
-        admit_payload = None if self.filter is None else self.filter.admit_payload
         config = self.config
-        compress_meta = config.compress_meta
-        delta_ts = config.delta_ts
+        ablated = not config.compress_meta or config.delta_ts
         batch_max_records = config.batch_max_records
         batch_max_bytes = config.batch_max_bytes
-        unpack_stamped = native.unpack_record_stamped
-        wire_size = protocol.record_wire_size
-        for payload in drained:
-            if admit_payload is not None and not admit_payload(payload):
-                self.stats.records_filtered += 1
-                continue
-            # Decode + correction + node stamping fused into one trusted
-            # construction: the payload was validated when the sensor
-            # packed it, so the validated-copy constructors are pure
-            # overhead here.  X_TS user fields shift with the timestamp
-            # inside the fused decoder.
-            corrected = unpack_stamped(payload, node_id, correction)
-            self._pending.append(corrected)
-            # The record's plan answers: a constant per fixed-size schema,
-            # the byte counts of its strings/opaques otherwise.
-            self._pending_bytes += wire_size(
-                corrected, compress_meta=compress_meta, delta_ts=delta_ts
-            )
-            if self._pending_oldest_local is None:
+        pending = self._pending
+        pending_bytes = self._pending_bytes
+        # This poll's plan per payload length, tried before the lookup: a
+        # fixed-size schema is one length, and a wrong guess costs one tag
+        # compare.
+        guesses: dict[int, SchemaPlan | None] = {}
+        for payload in payloads:
+            plan = guesses.get(len(payload))
+            wire = None
+            if plan is not None:
+                try:
+                    wire = plan.native_to_wire(payload, correction)
+                except (struct.error, ValueError):
+                    pass
+            if wire is None:
+                try:
+                    plan, wire = transcode(payload, correction)
+                except _REJECTS:
+                    self._reject()
+                    continue
+                guesses[len(payload)] = plan
+            size = len(wire)
+            if ablated:
+                # The spelling's size, as record_wire_size counts it.
+                size += protocol.mode_size_delta(
+                    wire[4],  # the meta word's field count
+                    compress_meta=config.compress_meta,
+                    delta_ts=config.delta_ts,
+                )
+            pending.append(wire)
+            pending_bytes += size
+            count = len(pending)
+            if count == 1:
                 self._pending_oldest_local = now_local
-            if (
-                len(self._pending) >= batch_max_records
-                or self._pending_bytes >= batch_max_bytes
-            ):
+            if count >= batch_max_records or pending_bytes >= batch_max_bytes:
                 out.append(self._close_batch())
+                pending = self._pending
+                pending_bytes = 0
+        self._pending_bytes = pending_bytes
         # Latency control: ship a lingering partial batch.
         if (
             self._pending
@@ -252,6 +300,14 @@ class ExternalSensor:
         if timer is not None and (drained or out):
             timer.stop(t0)
         return out
+
+    def _reject(self) -> None:
+        """Count a ring record nothing could ship; skip it."""
+        self.stats.records_rejected += 1
+        if self.stats.records_rejected == 1 and self.metrics is not None:
+            from repro.obs import collect
+
+            collect.wire_exs_rejects(self.metrics, self)
 
     def flush(self) -> list[bytes]:
         """Ship whatever is pending regardless of the knobs (shutdown)."""
@@ -299,14 +355,18 @@ class ExternalSensor:
         self._pending = []
         self._pending_bytes = 0
         self._pending_oldest_local = None
-        encoded = protocol.encode_batch_records(
-            self.exs_id,
-            self._seq,
-            records,
-            compress_meta=self.config.compress_meta,
-            delta_ts=self.config.delta_ts,
-            enc=self._encoder,
-        )
+        encoded = protocol.frame_batch(self.exs_id, self._seq, records)
+        config = self.config
+        if not config.compress_meta or config.delta_ts:
+            # The ablation spellings (A1/E8) are rare and cold: the
+            # reference codec re-frames the default batch.
+            encoded = protocol.encode_batch_records(
+                self.exs_id,
+                self._seq,
+                protocol.decode_message(encoded).records,
+                compress_meta=config.compress_meta,
+                delta_ts=config.delta_ts,
+            )
         self._seq += 1
         self.stats.records_shipped += len(records)
         self.stats.batches_shipped += 1

@@ -12,7 +12,10 @@ is (de)serialised.  From the single per-field-type table
 * the XDR record of a default batch (:mod:`repro.wire.protocol`:
   compressed meta, absolute timestamp): encode, decode keyed by the raw
   meta word(s) (:func:`plan_at`), and a validate-only skip that makes the
-  same checks as the decode without building the record (the relay).
+  same checks as the decode without building the record (the relay);
+* the two joined: a native ring record transcoded straight to its XDR
+  record under a clock correction, tags checked as the native unpack
+  checks them (the EXS).
 
 Each framing is a generated straight-line function (``SchemaPlan.source``
 prints them): every run of fixed-size fields is one ``struct`` call, every
@@ -78,6 +81,8 @@ _BUCKET_CAP = 8
 PACK_ERRORS = (struct.error, OverflowError, TypeError, ValueError, AttributeError)
 
 _UNPACK_U32 = struct.Struct(">I").unpack_from
+#: A native header's total length and field count.
+_TOTAL_COUNT = struct.Struct("<I8xH").unpack_from
 _ZERO_PAD = (b"", b"\x00", b"\x00\x00", b"\x00\x00\x00")
 _XDR_PAD = (b"", b"\x00\x00\x00", b"\x00\x00", b"\x00")
 
@@ -124,7 +129,7 @@ def wire_payload_size(field_types: Sequence[FieldType], values: Sequence[Any]) -
 class SchemaPlan:
     """Every framing of one record schema, compiled.
 
-    The four framings are plain functions (no ``self``):
+    The framings are plain functions (no ``self``):
 
     * ``native_pack(event_id, node_id, timestamp, values) -> bytes``
     * ``native_unpack(buf, body_pos, end) -> values | None`` — ``None``
@@ -135,6 +140,10 @@ class SchemaPlan:
       decoded record to ``out``
     * ``wire_skip(buf, pos, end) -> next_pos`` — accepts exactly what
       ``wire_unpack`` accepts, building nothing
+    * ``native_to_wire(buf, correction) -> bytes | None`` — the native
+      record that fills *buf* from offset 0, as ``wire_pack`` frames it
+      once its timestamp and ``X_TS`` fields are shifted by *correction*;
+      ``None`` when the header, tags or lengths say "not this schema"
     """
 
     __slots__ = (
@@ -149,6 +158,7 @@ class SchemaPlan:
         "wire_pack",
         "wire_unpack",
         "wire_skip",
+        "native_to_wire",
         "source",
     )
 
@@ -177,6 +187,7 @@ class SchemaPlan:
         self.wire_pack = ns["wire_pack"]
         self.wire_unpack = ns["wire_unpack"]
         self.wire_skip = ns["wire_skip"]
+        self.native_to_wire = ns["native_to_wire"]
 
     def wire_size(self, values: Sequence[Any]) -> int:
         """Bytes of this record in a default batch (excludes the batch header)."""
@@ -302,6 +313,35 @@ def native_match(
             continue
         if values is not None:
             return plan, values
+    return None, None
+
+
+def native_transcode(buf: Any, correction: int) -> tuple[SchemaPlan, bytes] | tuple[None, None]:
+    """``(plan, wire record)`` for the native record that fills *buf*, its
+    timestamp and ``X_TS`` fields shifted by *correction*, or ``(None,
+    None)`` when no known plan takes it: candidates are picked as
+    :func:`native_match` picks them, and a candidate that raises (the
+    record is irregular, or a shifted value leaves its field) is passed
+    over, so the per-field decoder decides."""
+    if len(buf) < NATIVE_HEADER.size:
+        return None, None
+    total, n_fields = _TOTAL_COUNT(buf)
+    for plan in _native_fixed.get(total << 16 | n_fields, ()):
+        try:
+            wire = plan.native_to_wire(buf, correction)
+        except (struct.error, ValueError):
+            continue
+        if wire is not None:
+            return plan, wire
+    if len(buf) == NATIVE_HEADER.size:  # no field to read a first tag from
+        return None, None
+    for plan in _native_var.get(n_fields << 8 | buf[NATIVE_HEADER.size], ()):
+        try:
+            wire = plan.native_to_wire(buf, correction)
+        except (struct.error, ValueError):
+            continue
+        if wire is not None:
+            return plan, wire
     return None, None
 
 
@@ -473,6 +513,53 @@ def _generate(plan: SchemaPlan) -> tuple[str, dict[str, Any]]:
             src.append("    str(m[p:q], 'utf-8')")
         src.append("    p = s")
     src.append("    return p")
+
+    # native to wire: native_unpack's checks, wire_pack's output, the
+    # timestamp and X_TS fields shifted on the way; node id and flags are
+    # skipped (the ISM stamps the node)
+    src.append("def native_to_wire(b, c):")
+    parts = []
+    for k, (run, var) in enumerate(segments):
+        fields = run + ([var] if var is not None else [])
+        if not fields and k:
+            continue
+        native_fmt = "".join(native(i) for i in run) + ("BI" if var is not None else "")
+        wire_fmt = "".join(xdr(i) for i in run) + ("I" if var is not None else "")
+        targets = [f"t{i}, v{i}" for i in run] + ([f"t{var}, n{var}"] if var is not None else [])
+        tags = [f"t{i}" for i in fields]
+        want = [str(int(types[i])) for i in fields]
+        args = [f"v{i} + c" if types[i] is FieldType.X_TS else f"v{i}" for i in run]
+        args += [f"n{var}"] if var is not None else []
+        if k == 0:
+            native_fmt = "II4xH2xq" + native_fmt  # node id and flags skipped
+            targets.insert(0, "L, e, n, t")
+            tags.insert(0, "n")
+            want.insert(0, str(len(types)))
+            if not plan.var_fields:  # the total length is a constant too
+                tags.insert(0, "L")
+                want.insert(0, str(plan.native_fixed_size))
+            wire_fmt = "I" * (1 + len(plan.meta_words)) + "q" + wire_fmt
+            args = ["e", meta, "t + c", *args]
+        name, size = struct_call(f"NT{k}", "<" + native_fmt, "unpack_from")
+        src += [
+            f"    {_tuple(targets)} = {name}(b{', p' if k else ''})",
+            f"    if {_tuple(tags)} != {_tuple(want)}:",
+            "        return None",
+        ]
+        if plan.var_fields:
+            step = ["    if L > len(b):", "        return None", f"    p = {size}"]
+            src += step if k == 0 else [f"    p += {size}"]
+        parts.append(f"{struct_call(f'WT{k}', '>' + wire_fmt)[0]}({', '.join(args)})")
+        if var is not None:
+            src += [f"    q = p + n{var}", "    if q > L:", "        return None"]
+            src.append(f"    d{var} = b[p:q]")
+            if types[var] is FieldType.X_STRING:
+                src.append(f"    str(d{var}, 'utf-8')")
+            src.append("    p = q")
+            parts += [f"d{var}", f"P[n{var} & 3]"]
+    if plan.var_fields:
+        src += ["    if p != L:", "        return None"]
+    src.append("    return " + " + ".join(parts))
 
     source = "\n".join(src) + "\n"
     exec(compile(source, f"<plan {'/'.join(t.name for t in types)}>", "exec"), ns)

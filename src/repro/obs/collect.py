@@ -37,6 +37,7 @@ __all__ = [
     "wire_ring",
     "wire_sensor",
     "wire_exs",
+    "wire_exs_rejects",
     "wire_outbox",
     "wire_connection",
     "wire_manager",
@@ -82,6 +83,15 @@ def wire_exs(registry: MetricsRegistry, exs: Any, prefix: str = "exs") -> None:
     for i, ring in enumerate(exs.rings):
         suffix = "ring" if len(exs.rings) == 1 else f"ring{i}"
         wire_ring(registry, ring, prefix=f"{prefix}.{suffix}")
+
+
+def wire_exs_rejects(registry: MetricsRegistry, exs: Any) -> None:
+    """The EXS's count of ring records it could not ship.  The EXS wires
+    it at its first reject, so a clean run's snapshots carry no constant
+    zero (the way ``obs.snapshot_gauge_errors`` appears only once
+    nonzero)."""
+    stats = exs.stats
+    registry.gauge_fn("exs.records_rejected", lambda: stats.records_rejected)
 
 
 def wire_outbox(registry: MetricsRegistry, outbox: Any, prefix: str = "outbox") -> None:

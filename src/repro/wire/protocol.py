@@ -649,26 +649,52 @@ def _decode_batch(
     )
 
 
+def encode_record(record: EventRecord) -> bytes:
+    """One record as a default batch carries it (compressed meta, absolute
+    timestamp): its plan's ``wire_pack``, or the dynamic encoder, which
+    also raises the canonical error."""
+    plan = plan_for(record.field_types)
+    if plan is not None:
+        try:
+            wire: bytes = plan.wire_pack(record)
+            return wire
+        except PACK_ERRORS:
+            pass
+    enc = XdrEncoder()
+    _encode_record_dynamic(enc, record, _encode_meta_compressed, False, 0)
+    return enc.getvalue()
+
+
 def record_wire_size(
     record: EventRecord, *, compress_meta: bool = True, delta_ts: bool = False
 ) -> int:
     """Per-record bytes on the wire (excluding the batch header).
 
     Used by benchmark E8 to reproduce the paper's "each instrumentation data
-    record requires 40 bytes" figure, and by the EXS's batch accounting on
-    every record — with the default knobs the schema's plan answers: a
-    constant for a fixed-size schema, byte counts of its strings and
-    opaques otherwise.
+    record requires 40 bytes" figure.  With the default knobs the schema's
+    plan answers: a constant for a fixed-size schema, byte counts of its
+    strings and opaques otherwise.
     """
     types = record.field_types
-    if compress_meta and not delta_ts:
-        plan = plan_for(types)
-        if plan is not None:
-            return plan.wire_size(record.values)
-    n = len(types)
-    meta = 4 * len(compressed_meta_words(types)) if compress_meta else 4 + 4 * n
-    ts = 4 if delta_ts else 8  # escape path ignored: sizes for in-range deltas
-    return 4 + meta + ts + wire_payload_size(types, record.values)
+    plan = plan_for(types)
+    if plan is not None:
+        size = plan.wire_size(record.values)
+    else:
+        size = 12 + 4 * len(compressed_meta_words(types))
+        size += wire_payload_size(types, record.values)
+    return size + mode_size_delta(len(types), compress_meta=compress_meta, delta_ts=delta_ts)
+
+
+def mode_size_delta(n_fields: int, *, compress_meta: bool, delta_ts: bool) -> int:
+    """Bytes a record of *n_fields* fields gains over its default-batch
+    size under the ablation knobs: a counted array of type words instead
+    of the compressed meta (one word for up to six fields, one more per
+    eight beyond), a four-byte delta instead of the absolute timestamp
+    (the escape ignored: sizes for in-range deltas)."""
+    delta = -4 if delta_ts else 0
+    if not compress_meta:
+        delta += 4 + 4 * n_fields - 4 * (1 + max(0, -(-(n_fields - 6) // 8)))
+    return delta
 
 
 # ----------------------------------------------------------------------
@@ -878,30 +904,53 @@ def splice_batch(
         count = sum(view.count for view in views)
     else:
         parts, count = records, len(records)
+    base_ts: int | None = None
     if flags & _FLAG_DELTA_TS:
         if len(views) > 1:
             raise ValueError("DELTA_TS batches cannot be spliced")
         base_ts = head.base_ts
-    else:
+    return frame_batch(
+        head.exs_id, seq, parts, count=count, flags=flags, base_ts=base_ts, first_seq=first_seq
+    )
+
+
+def frame_batch(
+    exs_id: int,
+    seq: int,
+    records: Sequence[bytes | memoryview],
+    *,
+    count: int | None = None,
+    flags: int = _FLAG_COMPRESS_META,
+    base_ts: int | None = None,
+    first_seq: int | None = None,
+) -> bytes:
+    """One batch message: a header written over *records*, record bytes
+    already spelled as *flags* says (by default, as :func:`encode_record`
+    frames them).  *count* defaults to one record per part; *base_ts* to
+    the first record's timestamp, which is what :func:`encode_batch_records`
+    writes; ``FLAG_SEQ_RANGE`` and its word come with *first_seq* only."""
+    if count is None:
+        count = len(records)
+    if base_ts is None:
         base_ts = next(
-            (_record_head(part, 0, flags, 0)[1] for part in parts if len(part)), 0
+            (_record_head(part, 0, flags, 0)[1] for part in records if len(part)), 0
         )
     if first_seq is None:
         header = _SPLICE_HEAD.pack(
-            MAGIC, MsgType.BATCH, flags, head.exs_id, seq, count, base_ts
+            MAGIC, MsgType.BATCH, flags, exs_id, seq, count, base_ts
         )
     else:
         header = _SPLICE_HEAD_RANGE.pack(
             MAGIC,
             MsgType.BATCH,
             flags | _FLAG_SEQ_RANGE,
-            head.exs_id,
+            exs_id,
             seq,
             first_seq,
             count,
             base_ts,
         )
-    return b"".join([header, *parts])
+    return b"".join([header, *records])
 
 
 # ----------------------------------------------------------------------

@@ -4,10 +4,13 @@ import pytest
 from tests.test_clocks import FakeTime
 
 from repro.clocksync.clocks import CorrectedClock, DriftingClock
+from repro.core import native
 from repro.core.exs import ExsConfig, ExternalSensor
-from repro.core.records import FieldType
+from repro.core.records import EventRecord, FieldType
 from repro.core.ringbuffer import ring_for_records
 from repro.core.sensor import Sensor
+from repro.obs.metrics import MetricsRegistry
+from repro.util.timebase import MAX_TIMESTAMP
 from repro.wire import protocol
 
 
@@ -131,8 +134,8 @@ class TestTimestampCorrection:
         _, sensor, exs = make_lis(config)
         sensor.notice_ints(1, 1)
         encoded = exs.poll()[0]
-        # Encoded batches do not carry node ids; the EXS still stamps the
-        # in-memory record so local consumers see it.
+        # Encoded batches do not carry node ids: the ISM stamps each
+        # batch's node from the source's Hello.
         assert exs.stats.records_shipped == 1
 
 
@@ -187,3 +190,48 @@ class TestWireKnobs:
             ExsConfig(flush_timeout_us=-1)
         with pytest.raises(ValueError):
             ExsConfig(drain_limit=0)
+
+
+class TestBadRingRecords:
+    """A ring record nothing can ship costs that record only: the records
+    drained around it, and the batch it would have joined, still ship."""
+
+    def _ship_around(self, exs, sensor, bad: bytes) -> list[int]:
+        for i in range(10):
+            if i == 4:
+                exs.ring.push_bytes(bad)
+            else:
+                sensor.notice_ints(1, i)
+        shipped = [r.values[0] for b in decode_batches(exs.poll() + exs.flush()) for r in b.records]
+        assert exs.stats.records_rejected == 1
+        assert exs.stats.records_drained == 10
+        return shipped
+
+    def test_unknown_field_tag(self):
+        _, sensor, exs = make_lis(ExsConfig(batch_max_records=3))
+        bad = bytearray(native.pack_record(EventRecord(1, 1_000_000, (FieldType.X_INT,), (4,))))
+        bad[native.HEADER_SIZE] = 0xC8  # no such field type
+        assert self._ship_around(exs, sensor, bytes(bad)) == [0, 1, 2, 3, 5, 6, 7, 8, 9]
+
+    @pytest.mark.parametrize("ts_field", [False, True])
+    def test_corrected_timestamp_leaves_int64(self, ts_field):
+        _, sensor, exs = make_lis(ExsConfig(batch_max_records=100))
+        exs.clock.advance(10)
+        if ts_field:  # the record timestamp fits; its X_TS field does not
+            bad = EventRecord(1, 1_000_000, (FieldType.X_TS,), (MAX_TIMESTAMP - 5,))
+        else:
+            bad = EventRecord(1, MAX_TIMESTAMP - 5, (FieldType.X_INT,), (4,))
+        shipped = self._ship_around(exs, sensor, native.pack_record(bad))
+        assert shipped == [0, 1, 2, 3, 5, 6, 7, 8, 9]
+
+    def test_rejects_are_exported_once_nonzero(self):
+        t = FakeTime(1_000_000)
+        ring = ring_for_records(100)
+        metrics = MetricsRegistry(time_fn=lambda: 0.0)
+        exs = ExternalSensor(1, 1, ring, CorrectedClock(t), metrics=metrics)
+        exs.ring.push_bytes(native.pack_record(EventRecord(1, 5, (FieldType.X_INT,), (4,))))
+        exs.flush()
+        assert "exs.records_rejected" not in metrics.snapshot().values
+        exs.ring.push_bytes(b"\x00" * 30)  # a header claiming zero bytes
+        exs.flush()
+        assert metrics.snapshot().values["exs.records_rejected"] == 1.0

@@ -1,6 +1,6 @@
 """Differential properties: every compiled framing against its reference.
 
-A schema's plan (:mod:`repro.core.plan`) compiles four framings; the
+A schema's plan (:mod:`repro.core.plan`) compiles six framings; the
 per-field codecs they replaced on the hot path stay as the reference.  For
 arbitrary schemas — fixed and variable-length, wider than six fields,
 ``X_TS`` under a clock correction, causal markers — each framing must
@@ -12,16 +12,21 @@ both paths.  Example counts come from the active hypothesis profile
 
 from __future__ import annotations
 
+import re
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from tests.strategies import batches, records
 
 from repro.core import native, plan
+from repro.core.exs import transcode
 from repro.core.plan import plan_for
-from repro.core.records import EventRecord
+from repro.core.records import EventRecord, FieldType
 from repro.core.ringbuffer import HEADER_SIZE, OverflowPolicy, RingBuffer
 from repro.core.sensor import Sensor, compile_notice
 from repro.wire import protocol
+from repro.xdr import XdrError
 
 #: Batch header bytes before the first record (six words + base_ts).
 _BATCH_HEADER = 32
@@ -161,3 +166,85 @@ def test_corrupt_native_record_fails_alike(record, flip):
         assert _outcome(native.unpack_record, corrupt) == _outcome(
             native.unpack_fields, corrupt
         )
+
+
+# ----------------------------------------------------------------------
+# native -> wire: the EXS's transcoder against decode + encode
+# ----------------------------------------------------------------------
+
+#: Clock corrections: none, realistic, and far enough to leave int64.
+corrections = st.one_of(
+    st.just(0), st.integers(-(2**40), 2**40), st.integers(-(2**64), 2**64)
+)
+
+
+def _reference_wire(payload, correction):
+    """What the EXS shipped for one ring record before it transcoded:
+    the decoded, corrected record, encoded as one default-batch record."""
+    record = native.unpack_record_stamped(payload, 0, correction)
+    return protocol.encode_batch_records(0, 0, [record])[_BATCH_HEADER:]
+
+
+def _disagreements(payload: bytes, correction: int, flip: int) -> list[bytes]:
+    """Corruptions of *payload* on which the transcoder path and the
+    reference differ — in acceptance, or in the bytes they produce.  The
+    compiled lookup is asked first, before the reference can compile a
+    plan for a schema the corruption spelled."""
+    bad = []
+    for corrupt in _corruptions(payload, flip):
+        _, compiled = plan.native_transcode(corrupt, correction)
+        path = _outcome(lambda: transcode(corrupt, correction)[1])
+        reference = _outcome(_reference_wire, corrupt, correction)
+        if path != reference or compiled is not None and ("ok", repr(compiled)) != reference:
+            bad.append(corrupt)
+    return bad
+
+
+@pytest.mark.property
+@settings(deadline=None)
+@given(records(max_fields=16), corrections)
+def test_native_to_wire_matches_reference(record, correction):
+    payload = native.pack_fields(record)
+    compiled = plan_for(record.field_types)
+    try:
+        reference = _reference_wire(payload, correction)
+    except (ValueError, XdrError):  # the correction left int64
+        with pytest.raises((struct.error, ValueError)):
+            compiled.native_to_wire(payload, correction)
+    else:
+        assert compiled.native_to_wire(payload, correction) == reference
+        assert plan.native_transcode(payload, correction) == (compiled, reference)
+
+
+@pytest.mark.property
+@settings(deadline=None)
+@given(records(max_fields=8), corrections, st.integers(1, 255))
+def test_corrupt_native_record_transcodes_alike(record, correction, flip):
+    payload = native.pack_fields(record)
+    native.unpack_record(payload)  # compile the plan the corrupt copies meet
+    assert _disagreements(payload, correction, flip) == []
+
+
+def _mutant(schema, drop: str):
+    """*schema*'s plan with one check cut out of its transcoder."""
+    compiled = plan_for(schema)
+    source, ns = plan._generate(compiled)
+    head, body = source.split("def native_to_wire")
+    if drop == "tag check":
+        body = re.sub(r"    if \(.*\) != \(.*\):\n        return None\n", "", body)
+    else:
+        body = re.sub(r"    str\(d\d+, 'utf-8'\)\n", "", body)
+    exec(head + "def native_to_wire" + body, ns)
+    return compiled, ns["native_to_wire"]
+
+
+@pytest.mark.parametrize("drop", ["tag check", "UTF-8 check"])
+def test_transcoder_mutants_are_caught(monkeypatch, drop):
+    schema = (FieldType.X_INT, FieldType.X_STRING, FieldType.X_TS)
+    record = EventRecord(9, 1_000, schema, (5, "héllo wörld", 1_000))
+    payload = native.pack_fields(record)
+    compiled, mutant = _mutant(schema, drop)
+    assert mutant(payload, 7) == compiled.native_to_wire(payload, 7)  # same on good input
+    assert _disagreements(payload, 7, 0xFF) == []
+    monkeypatch.setattr(compiled, "native_to_wire", mutant)
+    assert _disagreements(payload, 7, 0xFF)

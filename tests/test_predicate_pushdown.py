@@ -187,6 +187,76 @@ class TestCompiledEquivalence:
         )
 
 
+#: Schemas of one native length (three) beside variable-length ones: a
+#: drain's length-keyed check guesses are wrong as often as right.
+_POOL = (
+    (FieldType.X_INT, FieldType.X_UINT),
+    (FieldType.X_UINT, FieldType.X_INT),
+    (FieldType.X_FLOAT, FieldType.X_INT),
+    (FieldType.X_INT, FieldType.X_STRING),
+    (FieldType.X_STRING, FieldType.X_INT),
+)
+
+
+@st.composite
+def pooled_records(draw) -> EventRecord:
+    types = draw(st.sampled_from(_POOL))
+    return EventRecord(
+        event_id=draw(_ids),
+        timestamp=1,
+        field_types=types,
+        values=tuple(draw(_field_value(t)) for t in types),
+        node_id=draw(_ids),
+    )
+
+
+class TestDrainDecision:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        spec=specs(),
+        recs=st.lists(pooled_records() | records(), max_size=16),
+        n=st.integers(1, 3),
+    )
+    def test_drain_decision_matches_reference(self, spec, recs, n):
+        spec = FilterSpec(
+            allowed_events=spec.allowed_events,
+            blocked_events=spec.blocked_events,
+            allowed_nodes=spec.allowed_nodes,
+            sample_every=n,
+            field_tests=spec.field_tests,
+        )
+        payloads = [native.pack_record(r) for r in recs]
+        reference = FilterState(spec)
+        want = [p for p in payloads if reference.admit(native.unpack_record(p)[0])]
+        compiled = CompiledFilterState(spec)
+        assert compiled.admit_many(payloads) == want
+        assert (compiled.passed, compiled.dropped) == (reference.passed, reference.dropped)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        recs=st.lists(pooled_records(), max_size=16),
+        tests=st.lists(field_tests(), min_size=1, max_size=2),
+    )
+    def test_field_tests_across_schemas_of_one_length(self, recs, tests):
+        spec = FilterSpec(field_tests=tuple(tests))
+        payloads = [native.pack_record(r) for r in recs]
+        want = [p for p in payloads if spec.matches(native.unpack_record(p)[0])]
+        assert CompiledFilterState(spec).admit_many(payloads) == want
+
+    def test_a_payload_that_is_no_record_is_left_to_the_exs(self):
+        spec = FilterSpec(field_tests=(FieldTest(0, "ge", 0),))
+        sensor, exs = make_exs()
+        exs.on_set_filter(protocol.SetFilter.from_spec(spec, epoch=1))
+        truncated = native.pack_record(EventRecord(1, 5, (FieldType.X_INT,), (4,)))[:-2]
+        for i in range(6):
+            if i == 3:
+                exs.ring.push_bytes(truncated)
+            sensor.notice_ints(1, i - 2)
+        shipped = [r.values[0] for p in exs.flush() for r in protocol.decode_message(p).records]
+        assert shipped == [0, 1, 2, 3]
+        assert (exs.stats.records_filtered, exs.stats.records_rejected) == (2, 1)
+
+
 # ----------------------------------------------------------------------
 # sampling conservation
 # ----------------------------------------------------------------------
