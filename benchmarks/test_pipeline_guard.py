@@ -272,13 +272,23 @@ def test_acked_path_within_ten_percent_of_fire_and_forget():
     """The delivery guarantees must be nearly free at steady state: one
     cumulative Ack per pump cycle and an outbox append per batch.  Race
     the default acked path against the seed's fire-and-forget transport
-    and fail if the guaranteed path costs more than 10%."""
+    and fail if the guaranteed path costs more than 10%.
+
+    As in the metrics-overhead race below, the arms are sampled as
+    back-to-back pairs and judged on the cleanest pair: a best-of-N per
+    arm taken in two blocks lets one loaded stretch that covers a single
+    arm decide the verdict."""
     n_events = 20_000
-    acked = _best(lambda: _socket_stream_elapsed(n_events, acked=True), repeats=3)
-    bare = _best(lambda: _socket_stream_elapsed(n_events, acked=False), repeats=3)
-    assert acked <= bare * 1.10, (
-        f"acked path ({n_events / acked:,.0f} ev/s) more than 10% slower "
-        f"than fire-and-forget ({n_events / bare:,.0f} ev/s)"
+    pairs = []
+    for _ in range(5):
+        bare = _socket_stream_elapsed(n_events, acked=False)
+        acked = _socket_stream_elapsed(n_events, acked=True)
+        pairs.append((acked / bare, n_events / acked, n_events / bare))
+    assert min(pairs)[0] <= 1.10, (
+        "acked path more than 10% slower than fire-and-forget in every "
+        "paired run (acked vs bare ev/s: "
+        + ", ".join(f"{a:,.0f} vs {b:,.0f}" for _, a, b in pairs)
+        + ")"
     )
 
 

@@ -20,8 +20,6 @@ Rule families (see ``docs/static-analysis.md`` for the full catalogue):
 
 =========  =============================================================
 ``BRK0xx``  pragma hygiene (malformed / reason-less / unused pragmas)
-``BRK1xx``  wire conformance (encode/decode symmetry, type-id registry,
-            trailing-word-only extensions)
 ``BRK2xx``  determinism (no wall clock / ambient randomness in the
             simulation-reachable zone; BRK204 follows the call graph
             out of the zone)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.lint.engine import Checker
-from repro.lint.checkers.wire_conformance import WireConformanceChecker
 from repro.lint.checkers.determinism import DeterminismChecker
 from repro.lint.checkers.loop_discipline import LoopDisciplineChecker
 from repro.lint.checkers.exception_hygiene import ExceptionHygieneChecker
@@ -18,7 +17,6 @@ __all__ = ["all_checkers"]
 def all_checkers() -> list[Checker]:
     """Instantiate every registered checker, in rule-id order."""
     return [
-        WireConformanceChecker(),
         DeterminismChecker(),
         LoopDisciplineChecker(),
         ExceptionHygieneChecker(),

@@ -10,9 +10,18 @@ from pathlib import Path
 from typing import Any, Callable
 
 import pytest
-from hypothesis import settings
+from hypothesis import HealthCheck, settings
 
 from repro.core.records import EventRecord, FieldType
+
+#: Every profile (``ci`` below inherits it): no per-example deadline and
+#: no ``too_slow`` health check, so slow input generation on a loaded host
+#: cannot fail a property whose assertions hold.  Example counts and every
+#: other health check are unchanged.
+settings.register_profile(
+    "default", deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+settings.load_profile("default")
 
 #: ``--hypothesis-profile=ci`` caps examples for tests that leave the count
 #: to the profile (the ``property``-marked differential suites).

@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies: field values, schemas, records, batches.
+"""Shared hypothesis strategies: field values, schemas, records, batches,
+control messages.
 
 Schemas span every shape the record codecs tell apart: fixed-size and
 variable-length (``X_STRING``/``X_OPAQUE``), wider than six fields (the
@@ -8,9 +9,13 @@ under a clock correction) and causal markers (the native causal flag).
 
 from __future__ import annotations
 
+import dataclasses
+
 from hypothesis import strategies as st
 
+from repro.core.filtering import FIELD_TEST_OPS, FieldTest
 from repro.core.records import EventRecord, FieldType
+from repro.wire import protocol
 
 INT_RANGES = {
     FieldType.X_BYTE: (-(2**7), 2**7 - 1),
@@ -73,3 +78,49 @@ def batches(draw, max_fields: int = 16) -> list[EventRecord]:
     kinds = draw(st.lists(schemas(max_fields), min_size=1, max_size=3))
     picks = draw(st.lists(st.sampled_from(kinds), max_size=12))
     return [draw(records(schema=schema)) for schema in picks]
+
+
+# ----------------------------------------------------------------------
+# control messages, drawn from their declarations
+# ----------------------------------------------------------------------
+
+_uint32 = st.integers(0, 2**32 - 1)
+_CONTROL_SCALARS = {
+    protocol.UINT["xdr"]: _uint32,
+    protocol.INT["xdr"]: st.integers(-(2**31), 2**31 - 1),
+    protocol.HYPER["xdr"]: st.integers(-(2**63), 2**63 - 1),
+    protocol.BOOL["xdr"]: st.booleans(),
+    protocol.FLAG["xdr"]: st.booleans(),
+}
+_field_tests = st.builds(
+    FieldTest,
+    st.integers(0, 254),
+    st.sampled_from(FIELD_TEST_OPS),
+    st.one_of(st.integers(-(2**63), 2**63 - 1), st.floats(allow_nan=False)),
+)
+#: Containers by declared type; element counts stay small, far inside
+#: every wire bound.
+_CONTROL_CONTAINERS = {
+    "str": text,
+    "tuple[int, ...]": st.lists(_uint32, max_size=6).map(tuple),
+    "tuple[tuple[int, int], ...]": st.lists(
+        st.tuples(_uint32, _uint32), max_size=6
+    ).map(tuple),
+    "tuple[FieldTest, ...]": st.lists(_field_tests, max_size=4).map(tuple),
+}
+
+
+def control_field_values(f: dataclasses.Field):
+    """In-range values of one declared control-message field."""
+    scalar = _CONTROL_SCALARS.get(f.metadata["xdr"])
+    return scalar if scalar is not None else _CONTROL_CONTAINERS[f.type]
+
+
+def control_messages(classes=tuple(protocol.CONTROL_MESSAGES.values())):
+    """Any control message of *classes*, every field drawn in range."""
+    return st.sampled_from(classes).flatmap(
+        lambda cls: st.builds(
+            cls,
+            **{f.name: control_field_values(f) for f in dataclasses.fields(cls)},
+        )
+    )
