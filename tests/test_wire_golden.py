@@ -11,7 +11,11 @@ from tests.conftest import make_record
 
 from repro.core.filtering import FieldTest
 from repro.core.records import EventRecord, FieldType
+from repro.runtime.plane import ConnectionPlane
+from repro.runtime.relay_proc import RelayConfig, RelayServer, _Envelope, _Source
+from repro.runtime.uplink import ExsOutbox, Uplink
 from repro.wire import protocol
+from repro.wire.tcp import MessageListener
 
 
 def test_six_int_batch_golden():
@@ -225,3 +229,196 @@ def test_compressed_control_envelope_golden():
     framed = protocol.compress_frame(protocol.encode_message(ack))
     assert framed[:12] == wire[:12]
     assert protocol.decode_message(framed) == ack
+
+
+# ----------------------------------------------------------------------
+# what a peer receives, by the capability bits it advertised
+# ----------------------------------------------------------------------
+# Each extension bit has a pair of vectors, both produced by the runtime's
+# own send paths: the bytes a peer that advertised the bit receives, and
+# the bytes a legacy peer without it receives instead.
+
+
+class _Peer:
+    """A peer's socket as the sending tier sees it: keeps each frame."""
+
+    bytes_received = frames_received = 0
+
+    def __init__(self):
+        self.frames = []
+
+    def send(self, msg):
+        self.frames.append(protocol.encode_message(msg))
+
+    def send_many(self, payloads):
+        self.frames.extend(bytes(p) for p in payloads)
+
+    def close(self):
+        pass
+
+
+def _plane_frames(caps, act):
+    """What a connection plane sends a peer multiplexing sources 1 and 2,
+    both advertising *caps*, while *act* drives the plane."""
+    listener = MessageListener()
+    try:
+        plane = ConnectionPlane(listener)
+        peer = _Peer()
+        for exs_id in (1, 2):
+            plane.bind(
+                peer,
+                protocol.Hello(
+                    exs_id=exs_id, node_id=exs_id, wants_ack=True, capabilities=caps
+                ),
+            )
+        act(plane)
+        return [frame.hex() for frame in peer.frames]
+    finally:
+        listener.close()
+
+
+def _two_int_record(ts):
+    return EventRecord(7, ts, (FieldType.X_INT,) * 2, (1, 2))
+
+
+#: ``_two_int_record``'s wire bytes: event id, meta, timestamp, values.
+_RECORD_AT_10 = "00000007" "02440000" "0000000000000010" "00000001" "00000002"
+_RECORD_AT_20 = "00000007" "02440000" "0000000000000020" "00000001" "00000002"
+
+_STEERED = protocol.SetFilter(
+    allow_all_events=False,
+    allowed_events=(7,),
+    blocked_events=(3,),
+    sample_every=2,
+    filter_epoch=4,
+    target_exs_id=1,
+    field_tests=(FieldTest(0, "ge", 100),),
+)
+_SET_FILTER_HEAD = (
+    "b215c001" "00000007"
+    "00000000"  # allow_all_events = False
+    "00000001" "00000007"  # allowed: [7]
+    "00000001" "00000003"  # blocked: [3]
+    "00000002"  # sample_every
+)
+
+
+@pytest.mark.parametrize(
+    "caps, expected",
+    [
+        (0, [_SET_FILTER_HEAD]),  # no trailing words: the legacy frame
+        (
+            protocol.CAP_STEERING,
+            [
+                _SET_FILTER_HEAD + "00000004" "00000001"  # epoch, target
+                "00000001" "00000000" "00000005" "00000000" "0000000000000064"
+            ],
+        ),
+    ],
+    ids=["legacy", "steering"],
+)
+def test_set_filter_by_capability(caps, expected):
+    assert _plane_frames(caps, lambda plane: plane.hold_filter(1, _STEERED)) == expected
+
+
+def _flush_two_acks(plane):
+    plane.queue_ack(2, 9)
+    plane.queue_ack(1, 5)
+    plane.flush_acks()
+
+
+@pytest.mark.parametrize(
+    "caps, expected",
+    [
+        (  # one Ack per pair, in pair order
+            0,
+            [
+                "b215c001" "00000008" "00000001" "00000005",
+                "b215c001" "00000008" "00000002" "00000009",
+            ],
+        ),
+        (
+            protocol.CAP_ACK_BUNDLE,
+            [
+                "b215c001" "0000000c" "00000002"
+                "00000001" "00000005" "00000002" "00000009"
+            ],
+        ),
+    ],
+    ids=["legacy", "ack_bundle"],
+)
+def test_ack_bundle_by_capability(caps, expected):
+    assert _plane_frames(caps, _flush_two_acks) == expected
+
+
+def _relay_frames(caps):
+    """What a relay sends upstream for two consecutive batches of source
+    1 (seqs 4 and 5), toward an upstream that replied *caps*."""
+    relay = RelayServer(RelayConfig())
+    try:
+        relay.uplink.peer_caps = caps
+        relay.uplink.conn = object()  # connected: the flush ships
+        sent = []
+        relay.uplink.send = lambda out: (sent.extend(out), (0, 0))[1]
+        relay.sources[1] = _Source(1)
+        relay.merger.add_shard(1)
+        for seq, ts in ((4, 0x10), (5, 0x20)):
+            frame = protocol.encode_batch_records(1, seq, [_two_int_record(ts)])
+            relay.sources[1].queued += 1
+            relay.merger.push(1, (_Envelope(protocol.view_message(frame), len(frame)),))
+        relay._flush_upstream()
+        return [(exs_id, seq, bytes(payload).hex()) for exs_id, seq, payload in sent]
+    finally:
+        relay.listener.close()
+
+
+@pytest.mark.parametrize(
+    "caps, header",
+    [
+        (0, "00000001" "00000001" "00000005"),  # a plain batch at the last seq
+        (
+            protocol.CAP_SEQ_RANGE,
+            "00000005" "00000001" "00000005" "00000004",  # FLAG_SEQ_RANGE, 4..5
+        ),
+    ],
+    ids=["legacy", "seq_range"],
+)
+def test_spliced_run_by_capability(caps, header):
+    expected = (
+        "b215c001" "00000001" + header
+        + "00000002" "0000000000000010" + _RECORD_AT_10 + _RECORD_AT_20
+    )
+    assert _relay_frames(caps) == [(1, 5, expected)]
+
+
+_COMPRESSIBLE = (
+    "b215c001" "00000001" "00000001" "00000001" "00000003"
+    "00000008" "0000000000000010" + _RECORD_AT_10 * 8
+)
+
+
+def _uplink_frames(caps):
+    """What an uplink compressing from 64 bytes sends a peer that replied
+    *caps*, for one 224-byte batch of eight equal records."""
+    uplink = Uplink(0, compress_min_bytes=64)
+    uplink.add_source(protocol.Hello(exs_id=1, node_id=1), ExsOutbox())
+    peer = _Peer()
+    uplink.conn = peer
+    uplink.ready.add(1)
+    uplink.peer_caps = caps
+    uplink.send([(1, 3, bytes.fromhex(_COMPRESSIBLE))])
+    return peer.frames
+
+
+def test_compressible_batch_to_legacy_peer_is_itself():
+    assert [frame.hex() for frame in _uplink_frames(0)] == [_COMPRESSIBLE]
+
+
+def test_compressible_batch_to_compress_peer_is_an_envelope():
+    # zlib output is not pinned across zlib builds (see above): the header
+    # words are pinned, the rest on the decode side.
+    (frame,) = _uplink_frames(protocol.CAP_COMPRESS)
+    assert frame[:12].hex() == "b215c001" "0000000b" "000000e0"  # 224 raw bytes
+    assert len(frame) < len(_COMPRESSIBLE) // 2
+    payload = bytes.fromhex(_COMPRESSIBLE)
+    assert protocol.decode_message(frame) == protocol.decode_message(payload)
