@@ -32,9 +32,11 @@ Rule families (see ``docs/static-analysis.md`` for the full catalogue):
             reach blocking calls through any call chain)
 ``BRK7xx``  durability ordering (ack release dominated by fsync +
             checkpoint; ring consumers behind the commit watermark)
-``BRK8xx``  capability gating (protocol extensions control-dependent on
-            the negotiated CAP_* bit)
 =========  =============================================================
+
+``BRK1xx`` (wire conformance) and ``BRK8xx`` (capability gating) are
+retired: their invariants hold by declaration in
+:mod:`repro.wire.protocol`, pinned by tests (``docs/static-analysis.md``).
 
 Findings are suppressed either by an inline pragma with a reason::
 

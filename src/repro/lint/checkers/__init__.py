@@ -9,7 +9,6 @@ from repro.lint.checkers.exception_hygiene import ExceptionHygieneChecker
 from repro.lint.checkers.instruments import InstrumentRegistrationChecker
 from repro.lint.checkers.deep_loop import DeepLoopChecker
 from repro.lint.checkers.durability import DurabilityChecker
-from repro.lint.checkers.capgate import CapGateChecker
 
 __all__ = ["all_checkers"]
 
@@ -23,5 +22,4 @@ def all_checkers() -> list[Checker]:
         InstrumentRegistrationChecker(),
         DeepLoopChecker(),
         DurabilityChecker(),
-        CapGateChecker(),
     ]

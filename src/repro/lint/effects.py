@@ -6,7 +6,7 @@ project primitives (``time.sleep`` blocks, ``os.fsync`` syncs,
 ``AckGate.commit`` releases acks, ...) — detected syntactically in each
 function body, then propagated caller-ward over the
 :class:`~repro.lint.callgraph.CallGraph` to a transitive-closure
-fixpoint.  The BRK6xx/7xx/8xx checkers and transitive BRK204 all consume
+fixpoint.  The BRK6xx/7xx checkers and transitive BRK204 all consume
 the same shared :class:`ProjectAnalysis`, built once per tree.
 
 Two refinements keep the lattice honest:
@@ -67,8 +67,7 @@ class Effect(IntFlag):
     FSYNCS = 1 << 5           #: forces data to stable storage
     CHECKPOINTS = 1 << 6      #: writes the ack-frontier checkpoint
     RELEASES_ACKS = 1 << 7    #: emits/commits an ack a peer may act on
-    SENDS_MESSAGE = 1 << 8    #: writes a protocol frame to a peer
-    RUNS_SELECT = 1 << 9      #: calls select (marks pump-driver functions)
+    RUNS_SELECT = 1 << 8      #: calls select (marks pump-driver functions)
 
     def describe(self) -> str:
         if self is Effect.NONE:
@@ -138,8 +137,6 @@ ACK_CONSTRUCTORS = {
     "repro.wire.protocol.AckBundle",
 }
 
-#: Leaf method names that imply sending a protocol frame to a peer.
-_SEND_METHODS = {"send", "send_many", "sendall", "send_raw", "sendmsg"}
 _SOCKET_BLOCKING = {"recv", "recv_into", "recvfrom", "accept", "recvmsg"}
 
 #: Method-name fallback seeds for duck-typed receivers (see module doc).
@@ -333,8 +330,6 @@ def _local_effects(
             )
             if not bounded:
                 add(Effect.BLOCKS_QUEUE, node.lineno, ".get() unbounded")
-        elif leaf in _SEND_METHODS:
-            add(Effect.SENDS_MESSAGE, node.lineno, f".{leaf}()")
         elif leaf in METHOD_FALLBACK_SEEDS:
             add(
                 METHOD_FALLBACK_SEEDS[leaf],

@@ -15,6 +15,10 @@ idempotent drop with the ``wire.*`` gauges, the serve-loop bounds with
 the Bye on stop, and the monitor attachment (DESIGN.md §5.11 lists where
 the three former copies disagreed and what was kept).
 
+Each source's capability bits are learnt from its Hello, held while it is
+bound, and handed to :func:`~repro.wire.protocol.encode_for`, which
+downgrades acks and filters for them; the plane tests no bit itself.
+
 The owner enters the plane once per select cycle (:meth:`pump`) and once
 per control event; the per-frame and per-record loops stay in the owner.
 Time is read only through :mod:`repro.util.timebase`.
@@ -75,7 +79,7 @@ class ConnectionPlane:
         #: Sources that spoke a Hello on each connection.  Usually one,
         #: but a relay multiplexes every sensor it fronts over one socket.
         self._conn_sources: dict[MessageConnection, set[int]] = {}
-        #: Capability bits each source's Hello advertised.
+        #: Capability bits each bound source's Hello advertised.
         self._peer_caps: dict[int, int] = {}
         #: Sources whose latest Hello advertised ``wants_ack`` — the only
         #: peers ever written to outside the clock-sync path.  A
@@ -378,6 +382,7 @@ class ConnectionPlane:
             # one out of the ack set.
             if self.connections.get(exs_id) is conn:
                 del self.connections[exs_id]
+                del self._peer_caps[exs_id]
                 self._ack_enabled.discard(exs_id)
         if conn in self._pending:
             self._pending.remove(conn)
@@ -409,11 +414,12 @@ class ConnectionPlane:
 
     def flush_acks(self) -> tuple[int, list[tuple[int, int]]]:
         """Send the cycle's staged acks in one write per connection: an
-        ``AckBundle`` toward a multiplexing peer all of whose sources
-        advertised the capability, per-source ``Ack`` frames otherwise.
-        Acks ride once per cycle, not per batch, so the acked path adds
-        O(cycles) sends.  Returns the ``(frames, pairs)`` that reached
-        the wire, so the owner's counters and quoted watermarks stay exact.
+        ``AckBundle`` toward a multiplexing peer, written for the bits
+        every source on the connection advertised (so per-source ``Ack``
+        frames unless all of them can read a bundle).  Acks ride once per
+        cycle, not per batch, so the acked path adds O(cycles) sends.
+        Returns the ``(frames, pairs)`` that reached the wire, so the
+        owner's counters and quoted watermarks stay exact.
         """
         if not self._cycle_acks:
             return 0, []
@@ -424,19 +430,20 @@ class ConnectionPlane:
             if conn is None:
                 continue  # source vanished before its ack; resume covers it
             per_conn.setdefault(conn, []).append((exs_id, seq))
-        caps = self._peer_caps
         frames = 0
         sent: list[tuple[int, int]] = []
         for conn, pairs in per_conn.items():
-            acks: list[protocol.Message]
-            if len(pairs) > 1 and all(
-                caps.get(e, 0) & protocol.CAP_ACK_BUNDLE for e, _ in pairs
-            ):
-                acks = [protocol.AckBundle(acks=tuple(pairs))]
-            else:
-                acks = [protocol.Ack(exs_id=e, up_to_seq=s) for e, s in pairs]
+            caps = ~0
+            for exs_id, _ in pairs:
+                caps &= self._peer_caps[exs_id]
+            msg: protocol.ControlMessage = (
+                protocol.AckBundle(acks=tuple(pairs))
+                if len(pairs) > 1
+                else protocol.Ack(*pairs[0])
+            )
+            acks = protocol.encode_for(caps, msg)
             try:
-                conn.send_many([protocol.encode_message(m) for m in acks])
+                conn.send_many(acks)
             except OSError:
                 self.drop(conn)
                 continue
@@ -468,15 +475,12 @@ class ConnectionPlane:
         return self._send_filter(exs_id, msg)
 
     def _send_filter(self, exs_id: int, msg: protocol.SetFilter) -> bool:
-        """Put one SetFilter on the wire, downgrading the frame to its
-        legacy form for peers that never advertised ``CAP_STEERING``."""
+        """Put one SetFilter on the wire, written for the source's bits."""
         conn = self.connections.get(exs_id)
         if conn is None:
             return False
-        if not self._peer_caps.get(exs_id, 0) & protocol.CAP_STEERING:
-            msg = msg.downgraded()
         try:
-            conn.send(msg)  # the send BRK803 polices: keep it direct
+            conn.send_many(protocol.encode_for(self._peer_caps[exs_id], msg))
         except OSError:
             self.drop(conn)
             return False

@@ -16,7 +16,9 @@ throughput multiplier on the way through:
   batches, whose timestamps are relative to their own base, travel
   verbatim as runs of one.  The coalesced frame preserves the *original*
   sequence numbers (``first_seq..seq``), so acks, dedup, and resume keep
-  their end-to-end meaning.
+  their end-to-end meaning; the splice is written for the upstream's
+  advertised bits (``uplink.peer_caps``), so an upstream that cannot
+  read the range receives a plain batch at the run's last seq.
 * **In-flight pre-sorting** — batch envelopes ride a
   :class:`~repro.core.merge.OrderedMerger` keyed by each batch's first
   record, so the upstream receiver's sorter sees mostly-ordered input.
@@ -24,15 +26,19 @@ throughput multiplier on the way through:
   sensor must never stall the tree, so the merger is flushed (full k-way
   heap order over everything held) once per window rather than gated.
 * **Optional compression** — coalesced payloads at or above
-  ``compress_min_bytes`` travel as ``MsgType.COMPRESSED`` envelopes once
-  the upstream peer has advertised :data:`~repro.wire.protocol.
-  CAP_COMPRESS`.  Control frames are never compressed.
+  ``compress_min_bytes`` travel as ``MsgType.COMPRESSED`` envelopes when
+  that makes them smaller and the upstream's reply advertised the bit
+  (the uplink's :func:`~repro.wire.protocol.compress_frame` decides the
+  latter).  Control frames are never compressed.
 * **Metrics reduction** — self-observability snapshot records (event
   ``0xB0B5``) are cumulative: within one coalesced frame, a later record
   for the same ``(node, name)`` supersedes an earlier one (exactly the
   ``snapshot_from_records`` later-wins rule, the degenerate form of the
   associative ``HistogramSnapshot.merge``), so superseded snapshots are
   folded away instead of forwarded.  Only those records are decoded.
+
+The relay tests no capability bit itself: what the upstream can read is
+decided by the protocol writers, from the bits it passes along.
 
 Delivery guarantees chain hop by hop.  Upstream, the relay is the second
 owner of the EXS's :class:`~repro.runtime.uplink.Uplink`, carrying every
@@ -103,7 +109,8 @@ class RelayConfig:
     #: source's socket is excluded from select (read backpressure).
     pending_limit: int = 256
     #: Compress coalesced payloads at or above this many bytes (None =
-    #: never).  Takes effect only after upstream advertises CAP_COMPRESS.
+    #: never).  Takes effect only once the upstream's reply advertised
+    #: compression.
     compress_min_bytes: int | None = None
     #: Fold superseded 0xB0B5 metric snapshots inside coalesced frames.
     reduce_metrics: bool = False
@@ -435,30 +442,20 @@ class RelayServer:
         self.frames_out += len(batches)
 
     def _emit_run(self, run: list[_Envelope]) -> bytes:
-        """Splice one contiguous per-source run into a single upstream frame."""
-        coalesce_ok = bool(self.uplink.peer_caps & protocol.CAP_SEQ_RANGE)
+        """Splice one contiguous per-source run into a single upstream
+        frame, written for the upstream's bits."""
         batches = [env.batch for env in run]
         kept = self._fold_metrics(batches) if self.config.reduce_metrics else None
-        first = run[0].first
-        last = run[-1].last
         self.records_out += (
             sum(batch.count for batch in batches) if kept is None else len(kept)
         )
-        if len(run) == 1 and kept is None and (
-            batches[0].first_seq is None or coalesce_ok
-        ):
-            return batches[0].payload  # verbatim: the header needs no change
         if len(run) > 1:
             self.batches_coalesced += len(run)
-        # FLAG_SEQ_RANGE may only go to peers that negotiated
-        # CAP_SEQ_RANGE; toward a legacy upstream the coalesced run ships
-        # as a plain batch at `last` (safe: runs are contiguous and start
-        # past the outbox tail, so the peer's cumulative admitted
-        # watermark either covers all of it or none of it).
         return protocol.splice_batch(
             batches,
-            last,
-            first_seq=first if coalesce_ok and first != last else None,
+            run[-1].last,
+            caps=self.uplink.peer_caps,
+            first_seq=run[0].first,
             records=kept,
         )
 

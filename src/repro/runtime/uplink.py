@@ -11,6 +11,10 @@ reference back to its owner, reads time only through
 through a generator the owner iterates in its own loop
 (:meth:`Uplink.receive`); what the owner must react to among the rest is
 left in :attr:`Uplink.resumed` and :attr:`Uplink.advanced`.
+
+The peer's capability bits are learnt from its ``HelloReply``
+(:attr:`Uplink.peer_caps`) and handed to the protocol writers, which
+downgrade for them; the uplink tests no bit itself.
 """
 
 from __future__ import annotations
@@ -98,8 +102,9 @@ class Uplink:
     *heartbeat_id*.  Frames in flight with no ack progress for
     *ack_timeout_s* mean a hung peer; a source whose ``HelloReply`` has not
     come within *hello_reply_timeout_s* (0 = do not wait) is resumed as
-    toward a legacy peer; *compress_min_bytes* opts into compression once a
-    reply echoed ``CAP_COMPRESS``.  With a *host* the uplink also dials:
+    toward a legacy peer; *compress_min_bytes* opts into compression,
+    which :func:`~repro.wire.protocol.compress_frame` applies only once a
+    reply advertised it.  With a *host* the uplink also dials:
     delays drawn from *rng* in ``[backoff_s, 3 × previous]``, capped at
     *max_backoff_s* (decorrelated jitter: peers orphaned together do not
     come back in lockstep), until *max_attempts* consecutive failures.
@@ -274,13 +279,9 @@ class Uplink:
 
     def _compress(self, payload: bytes) -> bytes:
         threshold = self.compress_min_bytes
-        if (
-            threshold is None
-            or not self.peer_caps & protocol.CAP_COMPRESS
-            or len(payload) < threshold
-        ):
+        if threshold is None or len(payload) < threshold:
             return payload
-        wrapped = protocol.compress_frame(payload)
+        wrapped = protocol.compress_frame(payload, caps=self.peer_caps)
         return wrapped if len(wrapped) < len(payload) else payload
 
     def send_control(self, msg: protocol.Message) -> None:

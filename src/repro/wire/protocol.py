@@ -36,15 +36,24 @@ default to zero, and are written up to the last one that is set (XDR is
 positional, so a later word forces the earlier ones out); the decoder reads
 each only while a word remains.  A legacy frame therefore decodes with the
 defaults, and an all-default message encodes to the legacy bytes.
+
+A trailing field that needs a negotiated capability names its bit
+(``_trailing(codec, cap=CAP_STEERING)``), and a message a legacy peer
+cannot read at all declares its bit and its legacy form on the class
+(:class:`AckBundle`).  :func:`encode_for` writes a message for one peer's
+advertised bits, downgrading by those declarations; the batch writers
+:func:`splice_batch` and :func:`compress_frame` take the peer's bits too.
+A sending tier passes along the bits it learnt from the peer's
+``Hello``/``HelloReply`` and tests none itself.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, ClassVar, Mapping, Sequence
 
 from repro.core.filtering import FIELD_TEST_OPS, FieldTest, FilterSpec
 from repro.core.plan import (
@@ -97,6 +106,7 @@ CAP_ACK_BUNDLE = 0x2  #: peer accepts ``MsgType.ACK_BUNDLE`` control frames
 CAP_SEQ_RANGE = 0x4   #: receiver accepts coalesced batches with ``first_seq``
 CAP_STEERING = 0x8    #: receiver accepts extended ``SetFilter`` frames
 #: (epoch / routing target / field tests as trailing words)
+_CAP_BITS = frozenset({CAP_COMPRESS, CAP_ACK_BUNDLE, CAP_SEQ_RANGE, CAP_STEERING})
 
 #: Upper bound a COMPRESSED envelope may claim for its decompressed size;
 #: a corrupt or hostile length word must not drive a giant allocation.
@@ -123,13 +133,15 @@ MAX_FIELD_TESTS = 64
 
 
 def _codec(pack: Pack, unpack: Unpack) -> dict[str, Any]:
-    return {"xdr": (pack, unpack), "trailing": False}
+    return {"xdr": (pack, unpack), "trailing": False, "cap": 0}
 
 
-def _trailing(codec: dict[str, Any]) -> dict[str, Any]:
+def _trailing(codec: dict[str, Any], cap: int = 0) -> dict[str, Any]:
     """*codec* as a trailing extension word: emitted only up to the last
-    set one, read only while the frame has a word left."""
-    return {**codec, "trailing": True}
+    set one, read only while the frame has a word left.  With *cap* (one
+    ``CAP_*`` bit) it is written as its default toward a peer that did not
+    advertise the bit."""
+    return {**codec, "trailing": True, "cap": cap}
 
 
 UINT = _codec(XdrEncoder.pack_uint, XdrDecoder.unpack_uint)
@@ -234,9 +246,9 @@ class Batch:
     frame carries ``seq`` = the *last* contained batch's sequence and
     ``first_seq`` = the first's, so the receiver's cumulative-ack and
     dedup watermarks keep their end-to-end meaning.  ``first_seq`` rides
-    behind ``_FLAG_SEQ_RANGE`` and is only emitted toward peers that
-    advertised :data:`CAP_SEQ_RANGE`; a plain batch is byte-identical to
-    the original wire format.
+    behind ``_FLAG_SEQ_RANGE``, which :func:`splice_batch` writes only
+    toward peers that advertised :data:`CAP_SEQ_RANGE`; a plain batch is
+    byte-identical to the original wire format.
     """
 
     exs_id: int
@@ -254,6 +266,7 @@ class Hello:
     #: Event records/sec the sensor side was configured for; advisory,
     #: lets the ISM size its queues.
     advertised_rate: int = field(default=0, metadata=UINT)
+    # The trailing words name no capability bit: they are the negotiation.
     #: Whether the sender consumes :class:`Ack`/:class:`HelloReply`
     #: traffic.  Encoded as a trailing word only when True, so a plain
     #: Hello is byte-identical to the original wire format and a
@@ -322,10 +335,17 @@ class AckBundle:
     plane O(sources).  Peers that advertised :data:`CAP_ACK_BUNDLE`
     receive one bundle per pump cycle instead: ``acks`` holds
     ``(exs_id, up_to_seq)`` pairs with the same cumulative semantics as
-    :class:`Ack`.
+    :class:`Ack`.  Any other peer receives :meth:`legacy`.
     """
 
+    #: The bit a peer must have advertised to receive this message.
+    requires: ClassVar[int] = CAP_ACK_BUNDLE
+
     acks: tuple[tuple[int, int], ...] = field(metadata=_pair_array(65536))
+
+    def legacy(self) -> tuple[Ack, ...]:
+        """One :class:`Ack` per pair, in pair order."""
+        return tuple(Ack(exs_id=e, up_to_seq=s) for e, s in self.acks)
 
 
 @dataclass(frozen=True, slots=True)
@@ -371,7 +391,10 @@ class SetFilter:
 
     The steering extension rides trailing words, emitted only when set
     and only toward peers that advertised :data:`CAP_STEERING` — a plain
-    SetFilter stays byte-identical to the original wire format:
+    SetFilter stays byte-identical to the original wire format, and a
+    legacy peer receives the identity/sampling part of the spec (records
+    the field tests would have dropped still ship — conservative, never
+    lossy):
 
     * ``filter_epoch`` — monotone per-sender spec version.  Receivers
       ignore epochs older than the installed one and treat a re-send of
@@ -389,10 +412,11 @@ class SetFilter:
     allowed_events: tuple[int, ...] = field(default=(), metadata=_uint_array(65536))
     blocked_events: tuple[int, ...] = field(default=(), metadata=_uint_array(65536))
     sample_every: int = field(default=1, metadata=UINT)
-    filter_epoch: int = field(default=0, metadata=_trailing(UINT))
-    target_exs_id: int = field(default=0, metadata=_trailing(UINT))
+    filter_epoch: int = field(default=0, metadata=_trailing(UINT, cap=CAP_STEERING))
+    target_exs_id: int = field(default=0, metadata=_trailing(UINT, cap=CAP_STEERING))
     field_tests: tuple[FieldTest, ...] = field(
-        default=(), metadata=_trailing(_field_tests(MAX_FIELD_TESTS))
+        default=(),
+        metadata=_trailing(_field_tests(MAX_FIELD_TESTS), cap=CAP_STEERING),
     )
 
     @classmethod
@@ -429,18 +453,6 @@ class SetFilter:
             field_tests=self.field_tests,
         )
 
-    def downgraded(self) -> "SetFilter":
-        """The legacy wire form for peers without :data:`CAP_STEERING`.
-
-        Drops the extension words.  Field tests cannot be expressed to a
-        legacy peer; shedding degrades to the identity/sampling part of
-        the spec (records the tests would have dropped still ship —
-        conservative, never lossy).
-        """
-        if not (self.filter_epoch or self.target_exs_id or self.field_tests):
-            return self
-        return replace(self, filter_epoch=0, target_exs_id=0, field_tests=())
-
 
 ControlMessage = (
     Hello | HelloReply | Ack | AckBundle | Heartbeat | TimeRequest | TimeReply
@@ -463,7 +475,12 @@ CONTROL_MESSAGES: dict[MsgType, type[ControlMessage]] = {
 }
 
 
-_EncodeLayout = dict[type, tuple[int, tuple[tuple[str, Pack], ...], int]]
+#: One field as the writer reads it: name, pack, capability bit (0 = none)
+#: and the default written in its place toward a peer without the bit.
+_FieldLayout = tuple[str, Pack, int, Any]
+#: The class's capability bit (0 = none) and its legacy form.
+_ClassCaps = tuple[int, Callable[[Any], Sequence[ControlMessage]] | None]
+_EncodeLayout = dict[type, tuple[int, tuple[_FieldLayout, ...], int, _ClassCaps]]
 _DecodeLayout = dict[
     int, tuple[type[ControlMessage], tuple[Unpack, ...], tuple[Unpack, ...]]
 ]
@@ -472,11 +489,13 @@ _DecodeLayout = dict[
 def _read_declarations(
     registry: Mapping[MsgType, type[ControlMessage]],
 ) -> tuple[_EncodeLayout, _DecodeLayout]:
-    """Each declaration, read once: ``class → (type id, ((name, pack), ...),
-    required count)`` and ``type id → (class, required unpacks, trailing
-    unpacks)``.  Rejects a registry that is not a bijection onto the
-    control type ids, a field without a codec, and trailing fields that do
-    not end their class with zero defaults."""
+    """Each declaration, read once: ``class → (type id, ((name, pack, cap,
+    default), ...), required count, (class cap, legacy form))`` and
+    ``type id → (class, required unpacks, trailing unpacks)``.  Rejects a
+    registry that is not a bijection onto the control type ids, a field
+    without a codec, trailing fields that do not end their class with zero
+    defaults, a capability that is not exactly one ``CAP_*`` bit, and a
+    class capability without a legacy form."""
     if set(registry) != set(MsgType) - {MsgType.BATCH, MsgType.COMPRESSED}:
         raise TypeError("the registry must map every control type id, and no other")
     if len(set(registry.values())) != len(registry):
@@ -491,8 +510,18 @@ def _read_declarations(
         required = trailing.index(True) if True in trailing else len(declared)
         if not all(trailing[required:]) or any(f.default for f in declared[required:]):
             raise TypeError(f"{cls.__name__}: trailing fields must come last, zero by default")
+        requires = getattr(cls, "requires", 0)
+        legacy = getattr(cls, "legacy", None)
+        caps = [f.metadata["cap"] for f in declared]
+        if any(cap and cap not in _CAP_BITS for cap in [*caps, requires]):
+            raise TypeError(f"{cls.__name__}: a capability is exactly one CAP_* bit")
+        if bool(requires) != (legacy is not None):
+            raise TypeError(f"{cls.__name__}: a class capability needs a legacy form")
         packs, unpacks = zip(*(f.metadata["xdr"] for f in declared))
-        encode[cls] = (type_id, tuple(zip([f.name for f in declared], packs)), required)
+        layout = tuple(
+            (f.name, pack, cap, f.default) for f, pack, cap in zip(declared, packs, caps)
+        )
+        encode[cls] = (type_id, layout, required, (requires, legacy))
         decode[type_id] = (cls, unpacks[:required], unpacks[required:])
     return encode, decode
 
@@ -663,7 +692,8 @@ def encode_batch_records(
 
     ``first_seq`` marks a relay-coalesced batch covering downstream
     sequences ``first_seq..seq``; it adds one word behind
-    ``_FLAG_SEQ_RANGE`` and must only go to :data:`CAP_SEQ_RANGE` peers.
+    ``_FLAG_SEQ_RANGE``, which only a :data:`CAP_SEQ_RANGE` peer reads
+    (the writer for one peer is :func:`splice_batch`).
     """
     if enc is None:
         enc = XdrEncoder()
@@ -1034,22 +1064,40 @@ def splice_batch(
     views: Sequence[BatchView],
     seq: int,
     *,
+    caps: int,
     first_seq: int | None = None,
     records: Sequence[bytes | memoryview] | None = None,
 ) -> bytes:
-    """One batch message carrying *views*' records, joined as bytes.
+    """One batch message carrying *views*' records, joined as bytes, for a
+    peer that advertised *caps*.
 
     The views are consecutive batches of one source that
     :meth:`BatchView.splices_with` each other; the frame takes the first
-    one's exs id and meta spelling, *seq* and ``FLAG_SEQ_RANGE`` only with
-    *first_seq* (a :data:`CAP_SEQ_RANGE` peer's), and the first record's
+    one's exs id and meta spelling, *seq*, and the first record's
     timestamp as its base — for canonical records the bytes
     :func:`encode_batch_records` writes for the decoded run.  A
     ``DELTA_TS`` view travels alone and keeps its base.  *records*, when
     given, replaces the joined regions: some of the views' :meth:`spans`,
     in order.
+
+    ``FLAG_SEQ_RANGE`` and *first_seq* are written only when *first_seq*
+    differs from *seq* and only toward a :data:`CAP_SEQ_RANGE` peer; any
+    other peer receives a plain batch at *seq*, which its cumulative watermark
+    reads the same way (the views are consecutive, so it covers all of
+    them or none).  A lone view at *seq* whose header the peer can read
+    as it stands is returned as its own payload, uncopied.
     """
     head = views[0]
+    range_ok = caps & CAP_SEQ_RANGE
+    if (
+        records is None
+        and len(views) == 1
+        and head.seq == seq
+        and (range_ok or head.first_seq is None)
+    ):
+        return head.payload
+    if not range_ok or first_seq == seq:
+        first_seq = None
     flags = head.flags & ~_FLAG_SEQ_RANGE
     if records is None:
         parts: Sequence[bytes | memoryview] = [view.region for view in views]
@@ -1110,19 +1158,22 @@ def frame_batch(
 # ----------------------------------------------------------------------
 
 def compress_frame(
-    payload: bytes | bytearray | memoryview, *, level: int = 1
+    payload: bytes | bytearray | memoryview, *, caps: int, level: int = 1
 ) -> bytes:
-    """Wrap one complete encoded message payload in a COMPRESSED envelope.
+    """Wrap one complete encoded message payload in a COMPRESSED envelope
+    for a peer that advertised *caps*.
 
     Layout: ``MAGIC, COMPRESSED, u32 raw_len, opaque zlib(payload)``.
     :func:`decode_message` unwraps it transparently, so the envelope is a
-    pure transport concern — but it may only be sent to peers that
-    advertised :data:`CAP_COMPRESS` (a legacy receiver sees an unknown
-    message type and drops the connection).  ``level=1`` favors
-    throughput: relay coalescing already removed most of the slack, so
-    deeper search buys little.
+    pure transport concern — a peer without :data:`CAP_COMPRESS` receives
+    the payload itself (a legacy receiver would see an unknown message
+    type and drop the connection).  ``level=1`` favors throughput: relay
+    coalescing already removed most of the slack, so deeper search buys
+    little.
     """
     raw = bytes(payload)
+    if not caps & CAP_COMPRESS:
+        return raw
     enc = XdrEncoder()
     enc.pack_uint(MAGIC)
     enc.pack_uint(MsgType.COMPRESSED)
@@ -1165,8 +1216,23 @@ def peek_compressed(payload: bytes | bytearray | memoryview) -> tuple[int, int]:
 # ----------------------------------------------------------------------
 
 def encode_message(msg: Message, **batch_opts: Any) -> bytes:
-    """Encode any protocol message to bytes (batch knobs via kwargs)."""
+    """Encode any protocol message to bytes (batch knobs via kwargs), every
+    field as set: what a peer with every capability bit receives."""
     return _encode_message(msg, **batch_opts).getvalue()
+
+
+def encode_for(caps: int, msg: ControlMessage) -> list[bytes]:
+    """The frames a peer that advertised *caps* receives for *msg*.
+
+    A message whose class bit the peer lacks goes as its legacy form (an
+    :class:`AckBundle` as one :class:`Ack` per pair), and a trailing field
+    whose bit it lacks is written as its default — so a :class:`SetFilter`
+    reaches a peer without :data:`CAP_STEERING` as the legacy frame.
+    """
+    requires, legacy = _layout(msg)[3]
+    if requires & ~caps and legacy is not None:
+        return [frame for part in legacy(msg) for frame in encode_for(caps, part)]
+    return [_encode_control(msg, caps).getvalue()]
 
 
 def encode_message_view(msg: Message, **batch_opts: Any) -> memoryview:
@@ -1189,18 +1255,31 @@ def _encode_message(msg: Message, **batch_opts: Any) -> XdrEncoder:
             enc=enc, **batch_opts
         )
         return enc
+    return _encode_control(msg, ~0)
+
+
+def _layout(msg: Any) -> tuple[int, tuple[_FieldLayout, ...], int, _ClassCaps]:
     try:
-        type_id, layout, required = _ENCODE_LAYOUT[type(msg)]
+        return _ENCODE_LAYOUT[type(msg)]
     except KeyError:
         raise TypeError(f"not a protocol message: {msg!r}") from None
+
+
+def _encode_control(msg: ControlMessage, caps: int) -> XdrEncoder:
+    """*msg*, each field whose bit is not in *caps* written as its default."""
+    type_id, layout, required, _ = _layout(msg)
+    values = [
+        default if cap & ~caps else getattr(msg, name)
+        for name, _, cap, default in layout
+    ]
     end = len(layout)
-    while end > required and not getattr(msg, layout[end - 1][0]):
+    while end > required and not values[end - 1]:
         end -= 1  # an unset trailing word, with nothing set after it
     enc = XdrEncoder()
     enc.pack_uint(MAGIC)
     enc.pack_uint(type_id)
-    for name, pack in layout[:end]:
-        pack(enc, getattr(msg, name))
+    for (_, pack, _, _), value in zip(layout[:end], values):
+        pack(enc, value)
     return enc
 
 

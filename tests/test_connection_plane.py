@@ -244,6 +244,26 @@ class TestBarePlane:
         o.plane.stop()
         assert not o.plane.next_cycle()
 
+    def test_dropped_sources_leave_no_capability_entry(self, owner):
+        """A peer that opens exs ids without end must not grow the plane:
+        a source's advertised bits go with its binding."""
+
+        class Socketless:
+            bytes_received = frames_received = 0
+
+            def close(self):
+                pass
+
+        o = owner()
+        live = Socketless()
+        o.plane.bind(live, protocol.Hello(exs_id=0, node_id=0, capabilities=PLANE_CAPS))
+        for exs_id in range(1, 1001):
+            conn = Socketless()
+            o.plane.bind(conn, protocol.Hello(exs_id=exs_id, node_id=1, capabilities=1))
+            o.plane.drop(conn)
+        assert list(o.plane.connections) == [0]
+        assert o.plane._peer_caps == {0: PLANE_CAPS}
+
 
 # ----------------------------------------------------------------------
 # part two: one scripted peer, three servers

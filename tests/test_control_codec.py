@@ -16,7 +16,11 @@ ones a lint rule used to police — are properties too:
   boundary decodes with defaults, and unset trailing fields encode to the
   legacy bytes;
 * no field goes unencoded: a field without a codec fails at import, and
-  random values in every field round-trip.
+  random values in every field round-trip;
+* a peer receives what it advertised: ``encode_for`` writes a field
+  whose capability bit the peer lacks as its default and a message whose
+  class bit it lacks as its legacy form, and a capability that is not
+  exactly one ``CAP_*`` bit fails at import.
 """
 
 from __future__ import annotations
@@ -80,7 +84,9 @@ _GOLDEN = [bytes.fromhex(hex_bytes) for _, hex_bytes in _CONTROL_VECTORS] + [
         ),
     )
 ]
-_SEEDS = _GOLDEN + _HOSTILE + [protocol.compress_frame(p) for p in _GOLDEN]
+_SEEDS = _GOLDEN + _HOSTILE + [
+    protocol.compress_frame(p, caps=protocol.CAP_COMPRESS) for p in _GOLDEN
+]
 
 
 def _outcome(decode, payload):
@@ -152,10 +158,10 @@ def test_lenient_wants_ack_and_strict_allow_all_events_do_not_drift():
 def _field_bytes(msg) -> tuple[bytes, list[int]]:
     """*msg*'s fields, trailing ones included, all written; and the offset
     at which the required fields end, then each trailing field."""
-    _, layout, required = protocol._ENCODE_LAYOUT[type(msg)]
+    _, layout, required, _ = protocol._ENCODE_LAYOUT[type(msg)]
     enc = XdrEncoder()
     ends = []
-    for i, (name, pack) in enumerate(layout):
+    for i, (name, pack, _, _) in enumerate(layout):
         if i >= required:
             ends.append(len(enc))
         pack(enc, getattr(msg, name))
@@ -189,6 +195,23 @@ def test_unset_trailing_fields_encode_to_the_legacy_bytes(msg):
 
 
 @settings(deadline=None)
+@given(control_messages(), st.integers(0, 0xF))
+def test_encode_for_writes_what_the_peer_advertised(msg, caps):
+    """Toward a peer with *caps*, a field whose bit is missing arrives as
+    its default and a message whose bit is missing as its legacy form."""
+    decoded = [protocol.decode_message(f) for f in protocol.encode_for(caps, msg)]
+    if isinstance(msg, protocol.AckBundle) and not caps & protocol.CAP_ACK_BUNDLE:
+        assert decoded == [protocol.Ack(exs_id=e, up_to_seq=s) for e, s in msg.acks]
+        return
+    missing = {
+        f.name: f.default for f in dataclasses.fields(msg) if f.metadata["cap"] & ~caps
+    }
+    assert decoded == [dataclasses.replace(msg, **missing)]
+    if caps == 0xF:
+        assert protocol.encode_for(caps, msg) == [protocol.encode_message(msg)]
+
+
+@settings(deadline=None)
 @given(control_messages())
 def test_every_class_is_written_with_its_registry_type_id(msg):
     (type_id,) = [k for k, cls in CONTROL_MESSAGES.items() if cls is type(msg)]
@@ -214,6 +237,27 @@ class _NonzeroDefault:
 
 
 @dataclasses.dataclass(frozen=True)
+class _TwoBitCap:
+    a: int = dataclasses.field(
+        default=0,
+        metadata=protocol._trailing(
+            protocol.UINT, cap=protocol.CAP_COMPRESS | protocol.CAP_STEERING
+        ),
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class _UnknownCap:
+    a: int = dataclasses.field(default=0, metadata=protocol._trailing(protocol.UINT, cap=0x10))
+
+
+@dataclasses.dataclass(frozen=True)
+class _NoLegacyForm:
+    requires = protocol.CAP_ACK_BUNDLE
+    a: int = dataclasses.field(default=0, metadata=protocol.UINT)
+
+
+@dataclasses.dataclass(frozen=True)
 class _Dark:
     a: int = dataclasses.field(default=0, metadata=protocol.UINT)
     unencoded: int = 0
@@ -232,6 +276,9 @@ def _with(type_id, cls):
         _with(MsgType.HEARTBEAT, _NotTrailingLast),
         _with(MsgType.HEARTBEAT, _NonzeroDefault),
         _with(MsgType.HEARTBEAT, _Dark),
+        _with(MsgType.HEARTBEAT, _TwoBitCap),
+        _with(MsgType.HEARTBEAT, _UnknownCap),
+        _with(MsgType.HEARTBEAT, _NoLegacyForm),
     ],
     ids=[
         "missing_id",
@@ -240,6 +287,9 @@ def _with(type_id, cls):
         "trailing_not_last",
         "nonzero_trailing_default",
         "field_without_codec",
+        "two_bit_cap",
+        "unknown_cap_bit",
+        "class_cap_without_legacy_form",
     ],
 )
 def test_bad_declarations_are_rejected(registry):

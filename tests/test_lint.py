@@ -269,7 +269,7 @@ class TestCli:
         out = capsys.readouterr().out
         for rule in (
             "BRK001", "BRK201", "BRK301", "BRK401", "BRK501", "BRK601",
-            "BRK701", "BRK801",
+            "BRK701",
         ):
             assert rule in out
 
@@ -282,7 +282,7 @@ class TestCli:
             env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
         )
         assert proc.returncode == 0
-        assert "BRK801" in proc.stdout
+        assert "BRK701" in proc.stdout
 
     def test_cwd_independent_auto_root(self, tmp_path, monkeypatch):
         # Linting an absolute path from an unrelated cwd must anchor at

@@ -1,4 +1,4 @@
-"""brisk-lint v2: call graph, effect fixpoint, BRK6xx/7xx/8xx checkers,
+"""brisk-lint v2: call graph, effect fixpoint, BRK6xx/7xx checkers,
 transitive BRK204, symbol fingerprints, and the --graph/--explain CLI.
 
 Unit trees are built in tmp_path with the real ``src/repro/...`` layout
@@ -347,33 +347,6 @@ class TestDurability:
 
 
 # ----------------------------------------------------------------------
-# BRK8xx capability gating
-# ----------------------------------------------------------------------
-
-
-class TestCapGate:
-    def test_bad_fixture_fires_each_rule(self):
-        result = lint_fixture("capgate_bad", select=["BRK8"])
-        assert sorted((f.rule, f.line) for f in result.new) == [
-            ("BRK801", 12),
-            ("BRK802", 16),
-            ("BRK803", 20),
-            ("BRK804", 29),
-        ]
-
-    def test_good_fixture_is_quiet(self):
-        result = lint_fixture("capgate_good", select=["BRK8"])
-        assert result.new == [], "\n".join(f.render() for f in result.new)
-
-    def test_early_bail_does_not_satisfy_brk804(self):
-        # The emit() in capgate_bad computes the cap AND has a
-        # cap-mentioning early return, yet must still flag: that is the
-        # exact shape of the relay bug this rule exists for.
-        result = lint_fixture("capgate_bad", select=["BRK804"])
-        assert [f.rule for f in result.new] == ["BRK804"]
-
-
-# ----------------------------------------------------------------------
 # BRK204 transitive determinism
 # ----------------------------------------------------------------------
 
@@ -519,7 +492,7 @@ class TestRealTreeInterprocedural:
         result = run_lint(
             [REPO_ROOT / "src"],
             root=REPO_ROOT,
-            select=["BRK204", "BRK6", "BRK7", "BRK8"],
+            select=["BRK204", "BRK6", "BRK7"],
         )
         assert result.new == [], "\n".join(f.render() for f in result.new)
         # The deliberate bounded waits are pragma'd, not silently absent.

@@ -147,7 +147,8 @@ class TestControlMessages:
         # and inside a COMPRESSED envelope.
         wire = encode_message(msg)
         assert decode_message(wire) == msg
-        assert decode_message(protocol.compress_frame(wire)) == msg
+        envelope = protocol.compress_frame(wire, caps=protocol.CAP_COMPRESS)
+        assert decode_message(envelope) == msg
 
     def test_adjust_negative_correction_roundtrip(self):
         # Cristian baseline sends signed corrections.

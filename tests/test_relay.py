@@ -99,7 +99,7 @@ class TestCompressedFrames:
     def test_roundtrip(self):
         recs = [make_record(timestamp=t) for t in range(50)]
         payload = protocol.encode_batch_records(3, 7, recs)
-        wrapped = protocol.compress_frame(payload)
+        wrapped = protocol.compress_frame(payload, caps=protocol.CAP_COMPRESS)
         assert len(wrapped) < len(payload)
         decoded = protocol.decode_message(wrapped)
         assert decoded == protocol.decode_message(payload)
@@ -108,20 +108,25 @@ class TestCompressedFrames:
         payload = protocol.encode_batch_records(
             42, 9, [make_record(timestamp=t) for t in range(20)]
         )
-        mtype, exs_id = protocol.peek_compressed(protocol.compress_frame(payload))
+        wrapped = protocol.compress_frame(payload, caps=protocol.CAP_COMPRESS)
+        mtype, exs_id = protocol.peek_compressed(wrapped)
         assert mtype == protocol.MsgType.BATCH
         assert exs_id == 42
 
     def test_nested_compressed_rejected(self):
         payload = protocol.encode_batch_records(1, 1, [make_record()])
-        nested = protocol.compress_frame(protocol.compress_frame(payload))
+        nested = protocol.compress_frame(
+            protocol.compress_frame(payload, caps=protocol.CAP_COMPRESS),
+            caps=protocol.CAP_COMPRESS,
+        )
         with pytest.raises(protocol.ProtocolError):
             protocol.decode_message(nested)
 
     def test_corrupt_compressed_rejected(self):
         wrapped = bytearray(
             protocol.compress_frame(
-                protocol.encode_batch_records(1, 1, [make_record()])
+                protocol.encode_batch_records(1, 1, [make_record()]),
+                caps=protocol.CAP_COMPRESS,
             )
         )
         wrapped[-3] ^= 0xFF
@@ -133,7 +138,8 @@ class TestCompressedFrames:
     def test_any_batch_roundtrips_compressed(self, recs, seq):
         payload = protocol.encode_batch_records(7, seq, recs)
         direct = protocol.decode_message(payload)
-        via_zlib = protocol.decode_message(protocol.compress_frame(payload))
+        wrapped = protocol.compress_frame(payload, caps=protocol.CAP_COMPRESS)
+        via_zlib = protocol.decode_message(wrapped)
         assert via_zlib == direct
 
 

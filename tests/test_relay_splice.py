@@ -70,7 +70,9 @@ def _frame(exs_id, seq, records, flavour, span=1):
         delta_ts=flavour == "delta",
         first_seq=seq - span + 1 if flavour == "range" else None,
     )
-    return protocol.compress_frame(payload) if flavour == "compressed" else payload
+    if flavour == "compressed":
+        return protocol.compress_frame(payload, caps=protocol.CAP_COMPRESS)
+    return payload
 
 
 def _outcome(fn, payload):
@@ -324,6 +326,19 @@ def test_no_first_seq_toward_a_legacy_upstream():
         [(1, frame)], PLANE_CAPS & ~protocol.CAP_SEQ_RANGE, False
     )
     assert payload == protocol.encode_batch_records(1, 3, [])
+
+
+def test_a_lone_view_the_peer_can_read_is_its_own_payload():
+    """The relay's common case, a run of one batch, is forwarded uncopied
+    unless the peer cannot read its header."""
+    recs = [EventRecord(7, 10, (FT.X_INT,), (1,))]
+    plain = protocol.view_message(_frame(1, 5, recs, "plain"))
+    ranged = protocol.view_message(_frame(1, 5, recs, "range", span=2))
+    for caps in (0, PLANE_CAPS):
+        assert protocol.splice_batch([plain], 5, caps=caps, first_seq=5) is plain.payload
+    assert protocol.splice_batch([ranged], 5, caps=PLANE_CAPS, first_seq=4) is ranged.payload
+    legacy = protocol.splice_batch([ranged], 5, caps=0, first_seq=4)
+    assert legacy == protocol.encode_batch_records(1, 5, recs)
 
 
 def test_non_canonical_record_is_forwarded_as_sent():

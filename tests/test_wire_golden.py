@@ -226,7 +226,9 @@ def test_compressed_control_envelope_golden():
     )
     ack = protocol.Ack(exs_id=3, up_to_seq=0x10)
     assert protocol.decode_message(wire) == ack
-    framed = protocol.compress_frame(protocol.encode_message(ack))
+    framed = protocol.compress_frame(
+        protocol.encode_message(ack), caps=protocol.CAP_COMPRESS
+    )
     assert framed[:12] == wire[:12]
     assert protocol.decode_message(framed) == ack
 
